@@ -71,10 +71,13 @@ validate-scenarios:
 # plan a sweep into a run directory, race two real worker processes over
 # it, SIGKILL one mid-block, -resume, finish with a fresh worker, -reduce,
 # and require the merged journal to be byte-identical (timestamps aside)
-# to a monolithic single-process run — across two catalog scenarios.
+# to a monolithic single-process run — across two catalog scenarios. A
+# job-completion forecast planned by ccjob -manifest, run by two ccsweep
+# workers and reduced must print exactly the monolithic ccjob forecast, and
+# racing in-process workers must run every block exactly once.
 sweep-resume-smoke:
-	$(GO) test -count=1 -run 'TestCrashResumeBitIdentical' -v ./cmd/ccsweep
-	$(GO) test -run 'TestWorkersBitIdentical|TestTornJournalIsIncompleteNotFatal' ./internal/blocks
+	$(GO) test -count=1 -run 'TestCrashResumeBitIdentical|TestCompletionRunDirectoryMatchesMonolithic' -v ./cmd/ccsweep
+	$(GO) test -run 'TestWorkersBitIdentical|TestTornJournalIsIncompleteNotFatal|TestWorkRunsEachBlockOnce' ./internal/blocks
 
 # Fleet-telemetry gate: two real worker processes run a planned sweep with
 # fast heartbeats, one is SIGKILLed mid-block, and the run directory's

@@ -15,8 +15,7 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/configio"
-	"repro/internal/scenario"
+	"repro/internal/cli"
 )
 
 func main() {
@@ -28,35 +27,31 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cccompare", flag.ContinueOnError)
+	catalog := cli.CatalogFlags(fs)
 	var (
-		aPath         = fs.String("a", "", "baseline: JSON configuration file or scenario name (required)")
-		bPath         = fs.String("b", "", "candidate: JSON configuration file or scenario name (required)")
-		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
-		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
-		reps          = fs.Int("reps", 5, "paired replications")
-		warmup        = fs.Float64("warmup", 300, "transient hours to discard")
-		measure       = fs.Float64("measure", 1500, "measured hours per replication")
-		seed          = fs.Uint64("seed", 1, "root random seed (shared by both systems)")
-		syncReport    = fs.Bool("sync-report", false, "audit the common-random-numbers pairing: per-purpose draw alignment and residual output correlation")
+		aPath      = fs.String("a", "", "baseline: JSON configuration file or scenario name (required)")
+		bPath      = fs.String("b", "", "candidate: JSON configuration file or scenario name (required)")
+		reps       = fs.Int("reps", 5, "paired replications")
+		warmup     = fs.Float64("warmup", 300, "transient hours to discard")
+		measure    = fs.Float64("measure", 1500, "measured hours per replication")
+		seed       = fs.Uint64("seed", 1, "root random seed (shared by both systems)")
+		syncReport = fs.Bool("sync-report", false, "audit the common-random-numbers pairing: per-purpose draw alignment and residual output correlation")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	reg, err := scenario.Resolve(*scenarioDir)
-	if err != nil {
+	reg, listed, err := catalog.Resolve(stdout)
+	if listed || err != nil {
 		return err
-	}
-	if *listScenarios {
-		return reg.WriteList(stdout)
 	}
 	if *aPath == "" || *bPath == "" {
 		return fmt.Errorf("both -a and -b are required")
 	}
-	a, err := loadConfig(reg, *aPath)
+	a, err := cli.Load(reg, *aPath)
 	if err != nil {
 		return fmt.Errorf("config A: %w", err)
 	}
-	b, err := loadConfig(reg, *bPath)
+	b, err := cli.Load(reg, *bPath)
 	if err != nil {
 		return fmt.Errorf("config B: %w", err)
 	}
@@ -88,20 +83,4 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// loadConfig resolves one side of the comparison: an existing file is
-// loaded as a JSON configuration; anything else is looked up in the
-// scenario catalog. A name that is neither reports both failures.
-func loadConfig(reg *scenario.Registry, ref string) (repro.Config, error) {
-	f, err := os.Open(ref)
-	if err == nil {
-		defer f.Close()
-		return configio.Load(f)
-	}
-	s, serr := reg.Get(ref)
-	if serr != nil {
-		return repro.Config{}, fmt.Errorf("%q is neither a readable file (%v) nor a scenario (%v)", ref, err, serr)
-	}
-	return s.ClusterConfig()
 }

@@ -19,8 +19,8 @@ import (
 
 	"repro"
 	"repro/internal/asciichart"
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/scenario"
 )
 
 func main() {
@@ -32,33 +32,29 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ccfigures", flag.ContinueOnError)
+	scenarioFlags := cli.CatalogFlags(fs)
 	var (
-		only          = fs.String("only", "", "comma-separated figure IDs (default: all)")
-		scenarios     = fs.String("scenario", "", "comma-separated scenario names: run a processor sweep per scenario instead of the paper figures")
-		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
-		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
-		paper         = fs.Bool("paper", false, "paper-scale windows: 5 reps, 1000h warmup, 4000h measure (slow)")
-		reps          = fs.Int("reps", 0, "override replication count")
-		warmup        = fs.Float64("warmup", 0, "override transient hours to discard")
-		measure       = fs.Float64("measure", 0, "override measured hours per replication")
-		extras        = fs.Bool("extras", false, "include beyond-the-paper experiments (ablations, time breakdown)")
-		chart         = fs.Bool("chart", false, "render ASCII charts alongside the tables")
-		csv           = fs.Bool("csv", false, "emit CSV instead of text tables")
-		out           = fs.String("out", "", "directory for per-figure output files (default: stdout)")
-		seed          = fs.Uint64("seed", 1, "root random seed")
-		workers       = fs.Int("workers", runtime.NumCPU(), "concurrent figure cells (1 = sequential; results are identical for any value)")
-		metrics       = fs.Bool("metrics", false, "print the collected telemetry table to stderr when done")
+		only      = fs.String("only", "", "comma-separated figure IDs (default: all)")
+		scenarios = fs.String("scenario", "", "comma-separated scenario names: run a processor sweep per scenario instead of the paper figures")
+		paper     = fs.Bool("paper", false, "paper-scale windows: 5 reps, 1000h warmup, 4000h measure (slow)")
+		reps      = fs.Int("reps", 0, "override replication count")
+		warmup    = fs.Float64("warmup", 0, "override transient hours to discard")
+		measure   = fs.Float64("measure", 0, "override measured hours per replication")
+		extras    = fs.Bool("extras", false, "include beyond-the-paper experiments (ablations, time breakdown)")
+		chart     = fs.Bool("chart", false, "render ASCII charts alongside the tables")
+		csv       = fs.Bool("csv", false, "emit CSV instead of text tables")
+		out       = fs.String("out", "", "directory for per-figure output files (default: stdout)")
+		seed      = fs.Uint64("seed", 1, "root random seed")
+		workers   = fs.Int("workers", runtime.NumCPU(), "concurrent figure cells (1 = sequential; results are identical for any value)")
+		metrics   = fs.Bool("metrics", false, "print the collected telemetry table to stderr when done")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	catalog, err := scenario.Resolve(*scenarioDir)
-	if err != nil {
+	catalog, listed, err := scenarioFlags.Resolve(os.Stdout)
+	if listed || err != nil {
 		return err
-	}
-	if *listScenarios {
-		return catalog.WriteList(os.Stdout)
 	}
 
 	opts := repro.Options{Replications: 3, Warmup: 300, Measure: 1500, Seed: *seed}

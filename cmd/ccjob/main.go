@@ -6,33 +6,25 @@
 //	ccjob -work 5000 -procs 65536 -mttf-years 1
 //	ccjob -work 5000 -config machine.json -reps 20
 //
-// Like ccsweep, a forecast can run as a resumable multi-process job
-// through a shared run directory (see internal/blocks): the reduced
-// result is bit-identical to the monolithic run regardless of worker
-// count or crashes.
+// A forecast can also be planned into a run directory and run there as a
+// resumable multi-process job by ccsweep's run-directory verbs (see
+// internal/blocks): the reduced forecast is bit-identical to the
+// monolithic one regardless of worker count or crashes.
 //
 //	ccjob -work 5000 -reps 100 -manifest run/   # plan
-//	ccjob -worker run/                          # any number of processes
-//	ccjob -status run/ ; ccjob -resume run/     # inspect / repair
-//	ccjob -reduce run/                          # merge and report
+//	ccsweep -worker run/                        # any number of processes
+//	ccsweep -reduce run/                        # merge and report
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"time"
 
 	"repro"
 	"repro/internal/blocks"
-	"repro/internal/configio"
-	"repro/internal/cyclesim"
-	"repro/internal/obs"
-	"repro/internal/stats"
+	"repro/internal/cli"
 )
 
 func main() {
@@ -44,96 +36,25 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ccjob", flag.ContinueOnError)
+	model := cli.ModelFlags(fs, "procs", "mttf-years", "interval-min")
 	var (
 		configPath  = fs.String("config", "", "JSON configuration file")
 		work        = fs.Float64("work", 1000, "useful work the job needs, hours")
-		procs       = fs.Int("procs", 65536, "total compute processors")
-		mttfYears   = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		intervalMin = fs.Float64("interval-min", 30, "checkpoint interval in minutes")
 		reps        = fs.Int("reps", 10, "independent replications")
 		seed        = fs.Uint64("seed", 1, "root random seed")
-
-		manifestDir  = fs.String("manifest", "", "plan the forecast into this run directory and exit without simulating")
-		blockSize    = fs.Int("block-size", 1, "replications per claimable block when planning with -manifest")
-		workerDir    = fs.String("worker", "", "claim and execute blocks from this run directory until the forecast completes")
-		workerName   = fs.String("worker-name", "", "worker identity recorded in leases and journals (default <host>-<pid>)")
-		leaseTTL     = fs.Duration("lease-ttl", 10*time.Minute, "block lease time-to-live; a crashed worker's blocks are reclaimed after this long")
-		resumeDir    = fs.String("resume", "", "repair this run directory after a crash and exit")
-		statusDir    = fs.String("status", "", "print this run directory's progress and exit")
-		reduceDir    = fs.String("reduce", "", "merge this run directory's block journals and print the forecast")
-		jsonOut      = fs.Bool("json", false, "with -status: emit machine-readable JSON instead of the table")
-		hbEvery      = fs.Duration("heartbeat-every", time.Second, "worker telemetry snapshot cadence for heartbeats/<worker>.json; negative disables")
-		profileDir   = fs.String("profile-dir", "", "with -worker: where profile captures land (default <run>/profiles; 'off' disables)")
-		profileEvery = fs.Duration("profile-every", 0, "with -worker: also capture profiles at this interval (0 = straggler auto-trigger only)")
+		manifestDir = fs.String("manifest", "", "plan the forecast into this run directory and exit without simulating")
+		blockSize   = fs.Int("block-size", 1, "replications per claimable block when planning with -manifest")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	switch {
-	case *workerDir != "":
-		log := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ccjob: worker: "+format+"\n", args...)
-		}
-		profiler, stopProfiler := blocks.NewWorkerProfiler(*workerDir, *workerName, *profileDir, *profileEvery, log)
-		defer stopProfiler()
-		sum, err := blocks.Work(context.Background(), *workerDir, completionRunner(), blocks.WorkerOptions{
-			Name:     *workerName,
-			LeaseTTL: *leaseTTL,
-			// The registry rides along in heartbeat snapshots, giving the
-			// fleet view block counters even for completion workers.
-			Metrics:       obs.NewRegistry(),
-			Heartbeat:     *hbEvery,
-			Profiler:      profiler,
-			HandleSignals: true,
-			Log:           log,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "worker %s done: %d blocks completed (%d reclaimed from crashed peers, %d already done)\n",
-			sum.Worker, sum.Completed, sum.Reclaimed, sum.SkippedComplete)
-		return nil
-	case *resumeDir != "":
-		rep, m, err := blocks.Resume(*resumeDir, time.Now())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "resume %s: %d/%d blocks complete, dropped %d torn journal(s), cleared %d expired lease(s)\n",
-			m.Name, rep.Complete, len(m.Blocks), len(rep.TornJournals), len(rep.ExpiredLeases))
-		return nil
-	case *statusDir != "":
-		m, st, err := blocks.Scan(*statusDir, time.Now())
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return blocks.WriteStatusJSON(stdout, m, st)
-		}
-		return blocks.WriteStatus(stdout, m, st)
-	case *reduceDir != "":
-		return reduceCmd(*reduceDir, stdout)
+	cfg, err := cli.Base(nil, *configPath, "")
+	if err != nil {
+		return err
 	}
-
-	cfg := repro.DefaultConfig()
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			return err
-		}
-		loaded, err := configio.Load(f)
-		closeErr := f.Close()
-		if err != nil {
-			return err
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		cfg = loaded
-	} else {
-		cfg.Processors = *procs
-		cfg.MTTFPerNode = repro.Years(*mttfYears)
-		cfg.CheckpointInterval = repro.Minutes(*intervalMin)
+	if err := model.Apply(&cfg); err != nil {
+		return err
 	}
 	// The completion engine requires the cycle envelope.
 	cfg.ComputeFraction = 1
@@ -163,7 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "planned job: %d reps = %d blocks (size %d)\n", *reps, len(m.Blocks), m.BlockSize)
 		fmt.Fprintf(stdout, "manifest %s\n", m.Hash)
-		fmt.Fprintf(stdout, "run 'ccjob -worker %s' (any number of processes), then 'ccjob -reduce %s'\n",
+		fmt.Fprintf(stdout, "run 'ccsweep -worker %s' (any number of processes), then 'ccsweep -reduce %s'\n",
 			*manifestDir, *manifestDir)
 		return nil
 	}
@@ -172,82 +93,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	writeCompletion(stdout, cfg.Processors, comp)
-	return nil
-}
-
-// writeCompletion renders the forecast — one function shared by the
-// monolithic path and -reduce, so the two outputs cannot drift.
-func writeCompletion(w io.Writer, processors int, comp repro.Completion) {
-	fmt.Fprintf(w, "job                 %.0f h of useful work on %d processors\n", comp.Work, processors)
-	fmt.Fprintf(w, "expected completion %v h\n", comp.Mean)
-	fmt.Fprintf(w, "stretch factor      %.2fx over a failure-free machine\n", comp.Stretch())
-	fmt.Fprintf(w, "quantiles           p10 %.0f | p50 %.0f | p90 %.0f h\n",
-		comp.Quantile(0.1), comp.Quantile(0.5), comp.Quantile(0.9))
-}
-
-// completionRunner is the completion-kind blocks.RunFunc: one cycle-engine
-// trajectory per pre-assigned seed, simulated until the job's work is
-// done. Identical to the replication loop in cyclesim.JobCompletion, so a
-// reduced run reproduces the monolithic forecast bit for bit.
-func completionRunner() blocks.RunFunc {
-	return func(ctx context.Context, m *blocks.Manifest, b blocks.Block) (blocks.BlockOutput, error) {
-		if m.Kind != blocks.KindCompletion {
-			return blocks.BlockOutput{}, fmt.Errorf("ccjob: cannot run %q blocks", m.Kind)
-		}
-		cell := m.Cells[b.CellIndex]
-		maxWall := m.Work * 1000
-		out := blocks.BlockOutput{}
-		for i, seed := range b.Seeds {
-			if err := ctx.Err(); err != nil {
-				return blocks.BlockOutput{}, err
-			}
-			s, err := cyclesim.New(cell.Config, seed)
-			if err != nil {
-				return blocks.BlockOutput{}, err
-			}
-			wall, err := s.CompletionTime(m.Work, maxWall)
-			if err != nil {
-				return blocks.BlockOutput{}, err
-			}
-			fields := map[string]any{
-				"rep":        b.RepStart + i,
-				"seed":       seed,
-				"wall_hours": wall,
-			}
-			if cell.Label != "" {
-				fields["label"] = cell.Label
-			}
-			out.Records = append(out.Records, blocks.Record{Kind: "replication", Fields: fields})
-		}
-		return out, nil
-	}
-}
-
-// reduceCmd merges the block journals back into the Completion summary a
-// monolithic run computes: samples folded in replication order (the CI
-// accumulates in the same order, so the interval is bit-identical), then
-// sorted for the quantiles.
-func reduceCmd(dir string, w io.Writer) error {
-	m, cells, err := blocks.Reduce(dir)
-	if err != nil {
-		if errors.Is(err, blocks.ErrIncomplete) {
-			return fmt.Errorf("%w; run '-resume %s' and '-worker %s' to finish, or '-status %s' to inspect", err, dir, dir, dir)
-		}
-		return err
-	}
-	if m.Kind != blocks.KindCompletion {
-		return fmt.Errorf("ccjob: %s holds a %q sweep; reduce it with ccsweep", dir, m.Kind)
-	}
-	c := cells[0]
-	var acc stats.Accumulator
-	samples := c.FlatValues()
-	for _, v := range samples {
-		acc.Add(v)
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	comp := repro.Completion{Work: m.Work, Samples: sorted, Mean: acc.CI(m.Confidence)}
-	writeCompletion(w, c.Cell.Config.Processors, comp)
+	cli.WriteCompletion(stdout, cfg.Processors, comp)
 	return nil
 }

@@ -14,11 +14,10 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/configio"
+	"repro/internal/cli"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/provenance"
-	"repro/internal/scenario"
 	"repro/internal/vr"
 )
 
@@ -31,123 +30,45 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ccsim", flag.ContinueOnError)
+	model := cli.ModelFlags(fs, "procs", "procs-per-node", "mttf-years", "mttr-min", "interval-min",
+		"mttq-sec", "timeout-sec", "coordination", "pe", "r", "alpha")
+	catalog := cli.CatalogFlags(fs)
 	var (
-		configPath    = fs.String("config", "", "JSON configuration file (flags given explicitly override it)")
-		scenarioName  = fs.String("scenario", "", "named scenario from the catalog (see -list-scenarios; flags given explicitly override it)")
-		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
-		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
-		procs         = fs.Int("procs", 65536, "total compute processors")
-		procsPerNode  = fs.Int("procs-per-node", 8, "processors per node")
-		mttfYears     = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		mttrMin       = fs.Float64("mttr-min", 10, "system MTTR in minutes")
-		intervalMin   = fs.Float64("interval-min", 30, "checkpoint interval in minutes")
-		mttqSec       = fs.Float64("mttq-sec", 10, "per-node mean time to quiesce in seconds")
-		timeoutSec    = fs.Float64("timeout-sec", 0, "coordination timeout in seconds (0 = none)")
-		coordination  = fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
-		pe            = fs.Float64("pe", 0, "probability of correlated failure (error propagation)")
-		rFactor       = fs.Float64("r", 0, "correlated failure rate factor")
-		alpha         = fs.Float64("alpha", 0, "generic correlated failure coefficient")
-		reps          = fs.Int("reps", 5, "independent replications")
-		warmup        = fs.Float64("warmup", 1000, "transient hours to discard")
-		measure       = fs.Float64("measure", 4000, "measured hours per replication")
-		seed          = fs.Uint64("seed", 1, "root random seed")
-		workers       = fs.Int("workers", runtime.NumCPU(), "concurrent replications (1 = sequential; results are identical for any value)")
-		progress      = fs.Bool("progress", false, "stream replication progress to stderr")
-		verbose       = fs.Bool("v", false, "print per-replication metrics")
-		journalPath   = fs.String("journal", "", "write a JSONL run journal (one record per replication plus the estimate) to this file")
-		metrics       = fs.Bool("metrics", false, "print the collected telemetry table after the results")
-		verifySpans   = fs.Bool("verify-spans", false, "cross-check the reward-based estimate against phase-span accounting and print the verdict")
-		vrMode        = fs.String("vr", "none", "variance reduction: none or antithetic (pairs replications on reflected random streams; odd -reps rounds up)")
-		rareLevel     = fs.Int("rare-level", 0, "estimate P[severe-failure level ≥ this within -rare-horizon] by importance splitting instead of the steady-state metrics (0 = off)")
-		rareEffort    = fs.Int("rare-effort", 1000, "splitting trials per stage (with -rare-level)")
-		rareHorizon   = fs.Float64("rare-horizon", 48, "trajectory time budget in hours (with -rare-level)")
-		rareBrute     = fs.Bool("rare-brute", false, "also run the brute-force estimate of the same probability for cross-checking (with -rare-level)")
-		debugAddr     = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metricz on this address during the run (e.g. localhost:6060)")
-		profileDir    = fs.String("profile-dir", "", "capture CPU/heap/goroutine profiles into this directory during the run")
-		profileEvery  = fs.Duration("profile-every", 0, "re-capture profiles at this interval (0 = one capture at start; needs -profile-dir)")
+		configPath   = fs.String("config", "", "JSON configuration file (flags given explicitly override it)")
+		scenarioName = fs.String("scenario", "", "named scenario from the catalog (see -list-scenarios; flags given explicitly override it)")
+		reps         = fs.Int("reps", 5, "independent replications")
+		warmup       = fs.Float64("warmup", 1000, "transient hours to discard")
+		measure      = fs.Float64("measure", 4000, "measured hours per replication")
+		seed         = fs.Uint64("seed", 1, "root random seed")
+		workers      = fs.Int("workers", runtime.NumCPU(), "concurrent replications (1 = sequential; results are identical for any value)")
+		progress     = fs.Bool("progress", false, "stream replication progress to stderr")
+		verbose      = fs.Bool("v", false, "print per-replication metrics")
+		journalPath  = fs.String("journal", "", "write a JSONL run journal (one record per replication plus the estimate) to this file")
+		metrics      = fs.Bool("metrics", false, "print the collected telemetry table after the results")
+		verifySpans  = fs.Bool("verify-spans", false, "cross-check the reward-based estimate against phase-span accounting and print the verdict")
+		vrMode       = fs.String("vr", "none", "variance reduction: none or antithetic (pairs replications on reflected random streams; odd -reps rounds up)")
+		rareLevel    = fs.Int("rare-level", 0, "estimate P[severe-failure level ≥ this within -rare-horizon] by importance splitting instead of the steady-state metrics (0 = off)")
+		rareEffort   = fs.Int("rare-effort", 1000, "splitting trials per stage (with -rare-level)")
+		rareHorizon  = fs.Float64("rare-horizon", 48, "trajectory time budget in hours (with -rare-level)")
+		rareBrute    = fs.Bool("rare-brute", false, "also run the brute-force estimate of the same probability for cross-checking (with -rare-level)")
+		debugAddr    = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metricz on this address during the run (e.g. localhost:6060)")
+		profileDir   = fs.String("profile-dir", "", "capture CPU/heap/goroutine profiles into this directory during the run")
+		profileEvery = fs.Duration("profile-every", 0, "re-capture profiles at this interval (0 = one capture at start; needs -profile-dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	catalog, err := scenario.Resolve(*scenarioDir)
+	scenarios, listed, err := catalog.Resolve(os.Stdout)
+	if listed || err != nil {
+		return err
+	}
+	cfg, err := cli.Base(scenarios, *configPath, *scenarioName)
 	if err != nil {
 		return err
 	}
-	if *listScenarios {
-		return catalog.WriteList(os.Stdout)
-	}
-	if *scenarioName != "" && *configPath != "" {
-		return fmt.Errorf("-scenario and -config are mutually exclusive")
-	}
-
-	cfg := repro.DefaultConfig()
-	switch {
-	case *scenarioName != "":
-		s, err := catalog.Get(*scenarioName)
-		if err != nil {
-			return err
-		}
-		if cfg, err = s.ClusterConfig(); err != nil {
-			return err
-		}
-	case *configPath != "":
-		f, err := os.Open(*configPath)
-		if err != nil {
-			return err
-		}
-		loaded, err := configio.Load(f)
-		closeErr := f.Close()
-		if err != nil {
-			return err
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		cfg = loaded
-	}
-
-	// Apply only the flags the user set explicitly, so a -config file or
-	// -scenario is not clobbered by flag defaults.
-	var coordErr error
-	apply := map[string]func(){
-		"procs":          func() { cfg.Processors = *procs },
-		"procs-per-node": func() { cfg.ProcsPerNode = *procsPerNode },
-		"mttf-years":     func() { cfg.MTTFPerNode = repro.Years(*mttfYears) },
-		"mttr-min":       func() { cfg.MTTR = repro.Minutes(*mttrMin) },
-		"interval-min":   func() { cfg.CheckpointInterval = repro.Minutes(*intervalMin) },
-		"mttq-sec":       func() { cfg.MTTQ = repro.Seconds(*mttqSec) },
-		"timeout-sec":    func() { cfg.Timeout = repro.Seconds(*timeoutSec) },
-		"pe":             func() { cfg.ProbCorrelated = *pe },
-		"r":              func() { cfg.CorrelatedFactor = *rFactor },
-		"alpha":          func() { cfg.GenericCorrelatedCoefficient = *alpha },
-		"coordination": func() {
-			switch *coordination {
-			case "fixed":
-				cfg.Coordination = repro.CoordFixed
-			case "none":
-				cfg.Coordination = repro.CoordNone
-			case "max-of-n":
-				cfg.Coordination = repro.CoordMaxOfN
-			default:
-				coordErr = fmt.Errorf("unknown coordination mode %q", *coordination)
-			}
-		},
-	}
-	if *configPath == "" && *scenarioName == "" {
-		// No file or scenario: every config flag applies, as before.
-		for _, f := range apply {
-			f()
-		}
-	} else {
-		fs.Visit(func(f *flag.Flag) {
-			if a, ok := apply[f.Name]; ok {
-				a()
-			}
-		})
-	}
-	if coordErr != nil {
-		return coordErr
+	if err := model.Apply(&cfg); err != nil {
+		return err
 	}
 	if err := repro.Validate(cfg); err != nil {
 		return err
@@ -222,23 +143,8 @@ func run(args []string) error {
 			},
 		})
 		profiler.Trigger("start")
-		if *profileEvery > 0 {
-			tick := time.NewTicker(*profileEvery)
-			defer tick.Stop()
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				for {
-					select {
-					case <-tick.C:
-						profiler.Trigger("periodic")
-					case <-done:
-						return
-					}
-				}
-			}()
-		}
 		defer profiler.Wait()
+		defer profiler.Every(*profileEvery)()
 	}
 	res, err := repro.Simulate(cfg, opts)
 	if journalFile != nil {

@@ -18,6 +18,10 @@
 //	ccsweep -resume run/            # repair after a crash (torn journals)
 //	ccsweep -reduce run/            # merge journals, print the table
 //
+// The run-directory verbs serve every manifest kind: a job-completion
+// forecast planned with 'ccjob -manifest' runs and reduces the same way,
+// and -reduce then prints the forecast ccjob prints.
+//
 // A live run's telemetry lives in the directory too: each worker drops a
 // periodic heartbeat snapshot (progress, metrics registry, flight
 // recorder) into heartbeats/, and the journals/leases already encode every
@@ -44,9 +48,10 @@ import (
 
 	"repro"
 	"repro/internal/blocks"
+	"repro/internal/cli"
+	"repro/internal/cyclesim"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/vr"
 )
@@ -60,27 +65,22 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ccsweep", flag.ContinueOnError)
+	model := cli.ModelFlags(fs, "procs", "mttf-years", "mttr-min", "interval-min", "coordination")
+	catalog := cli.CatalogFlags(fs)
 	var (
-		param         = fs.String("param", "procs", "parameter to sweep: procs, interval-min, mttf-years, mttr-min, mttq-sec, timeout-sec, pe, alpha")
-		values        = fs.String("values", "", "comma-separated values (required)")
-		scenarioName  = fs.String("scenario", "", "base the sweep on a named scenario (see -list-scenarios; flags given explicitly override it)")
-		scenarioDir   = fs.String("scenario-dir", "", "directory of scenario files extending/overriding the built-in catalog")
-		listScenarios = fs.Bool("list-scenarios", false, "list the scenario catalog and exit")
-		procs         = fs.Int("procs", 65536, "total compute processors")
-		mttfYears     = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		mttrMin       = fs.Float64("mttr-min", 10, "system MTTR in minutes")
-		intervalMin   = fs.Float64("interval-min", 30, "checkpoint interval in minutes")
-		coordination  = fs.String("coordination", "fixed", "coordination mode: fixed, none, max-of-n")
-		rFactor       = fs.Float64("r", 400, "correlated failure factor (used when sweeping pe/alpha)")
-		reps          = fs.Int("reps", 3, "independent replications")
-		warmup        = fs.Float64("warmup", 300, "transient hours to discard")
-		measure       = fs.Float64("measure", 1500, "measured hours per replication")
-		seed          = fs.Uint64("seed", 1, "root random seed")
-		vrMode        = fs.String("vr", "none", "variance reduction: none or antithetic (pairs replications on reflected random streams; odd -reps rounds up; recorded in the manifest so workers and -reduce follow it)")
-		workers       = fs.Int("workers", runtime.NumCPU(), "concurrent sweep rows, or in-block replications for -worker (1 = sequential; results are identical for any value)")
-		journalPath   = fs.String("journal", "", "write a JSONL run journal (rows in input order, records labeled param=value) to this file; with -reduce, the merged journal")
-		metrics       = fs.Bool("metrics", false, "print the collected telemetry table to stderr after the sweep")
-		debugAddr     = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metricz on this address during the sweep")
+		param        = fs.String("param", "procs", "parameter to sweep: procs, interval-min, mttf-years, mttr-min, mttq-sec, timeout-sec, pe, alpha")
+		values       = fs.String("values", "", "comma-separated values (required)")
+		scenarioName = fs.String("scenario", "", "base the sweep on a named scenario (see -list-scenarios; flags given explicitly override it)")
+		rFactor      = fs.Float64("r", 400, "correlated failure factor (used when sweeping pe/alpha)")
+		reps         = fs.Int("reps", 3, "independent replications")
+		warmup       = fs.Float64("warmup", 300, "transient hours to discard")
+		measure      = fs.Float64("measure", 1500, "measured hours per replication")
+		seed         = fs.Uint64("seed", 1, "root random seed")
+		vrMode       = fs.String("vr", "none", "variance reduction: none or antithetic (pairs replications on reflected random streams; odd -reps rounds up; recorded in the manifest so workers and -reduce follow it)")
+		workers      = fs.Int("workers", runtime.NumCPU(), "concurrent sweep rows, or in-block replications for -worker (1 = sequential; results are identical for any value)")
+		journalPath  = fs.String("journal", "", "write a JSONL run journal (rows in input order, records labeled param=value) to this file; with -reduce, the merged journal")
+		metrics      = fs.Bool("metrics", false, "print the collected telemetry table to stderr after the sweep")
+		debugAddr    = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metricz on this address during the sweep")
 
 		manifestDir  = fs.String("manifest", "", "plan the sweep into this run directory (manifest + leases/ + journals/) and exit without simulating")
 		blockSize    = fs.Int("block-size", 1, "replications per claimable block when planning with -manifest")
@@ -100,12 +100,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	catalog, err := scenario.Resolve(*scenarioDir)
-	if err != nil {
+	scenarios, listed, err := catalog.Resolve(os.Stdout)
+	if listed || err != nil {
 		return err
-	}
-	if *listScenarios {
-		return catalog.WriteList(os.Stdout)
 	}
 
 	var reg *repro.MetricsRegistry
@@ -156,51 +153,12 @@ func run(args []string) error {
 		*reps++
 	}
 
-	base := repro.DefaultConfig()
-	if *scenarioName != "" {
-		s, err := catalog.Get(*scenarioName)
-		if err != nil {
-			return err
-		}
-		if base, err = s.ClusterConfig(); err != nil {
-			return err
-		}
+	base, err := cli.Base(scenarios, "", *scenarioName)
+	if err != nil {
+		return err
 	}
-	// With a scenario base, apply only the flags the user set explicitly so
-	// flag defaults don't clobber it; without one, every base flag applies,
-	// as before.
-	var coordErr error
-	applyBase := map[string]func(){
-		"procs":        func() { base.Processors = *procs },
-		"mttf-years":   func() { base.MTTFPerNode = repro.Years(*mttfYears) },
-		"mttr-min":     func() { base.MTTR = repro.Minutes(*mttrMin) },
-		"interval-min": func() { base.CheckpointInterval = repro.Minutes(*intervalMin) },
-		"coordination": func() {
-			switch *coordination {
-			case "fixed":
-				base.Coordination = repro.CoordFixed
-			case "none":
-				base.Coordination = repro.CoordNone
-			case "max-of-n":
-				base.Coordination = repro.CoordMaxOfN
-			default:
-				coordErr = fmt.Errorf("unknown coordination mode %q", *coordination)
-			}
-		},
-	}
-	if *scenarioName == "" {
-		for _, f := range applyBase {
-			f()
-		}
-	} else {
-		fs.Visit(func(f *flag.Flag) {
-			if a, ok := applyBase[f.Name]; ok {
-				a()
-			}
-		})
-	}
-	if coordErr != nil {
-		return coordErr
+	if err := model.Apply(&base); err != nil {
+		return err
 	}
 
 	apply, err := setter(*param, *rFactor)
@@ -410,6 +368,11 @@ func reduceCmd(dir, journalPath string, w io.Writer) error {
 			return err
 		}
 	}
+	if m.Kind == blocks.KindCompletion {
+		c := cells[0]
+		cli.WriteCompletion(w, c.Cell.Config.Processors, cyclesim.NewCompletion(m.Work, c.FlatValues(), m.Confidence))
+		return nil
+	}
 	fmt.Fprintf(w, "%-16s %-24s %-24s\n", m.Name, "useful work fraction", "total useful work")
 	for _, c := range cells {
 		fmt.Fprintf(w, "%-16g %-24v %-24v\n", c.Cell.X,
@@ -436,32 +399,19 @@ func reducedCI(values []float64, m *blocks.Manifest) stats.Interval {
 	return a.CI(m.Confidence)
 }
 
-// setter maps a parameter name to a config mutator.
+// setter maps a parameter name to a config mutator: the model flag of the
+// same name, plus the correlated factor r for the correlated-failure
+// parameters.
 func setter(param string, r float64) (func(*repro.Config, float64), error) {
-	switch param {
-	case "procs":
-		return func(c *repro.Config, v float64) { c.Processors = int(v) }, nil
-	case "interval-min":
-		return func(c *repro.Config, v float64) { c.CheckpointInterval = repro.Minutes(v) }, nil
-	case "mttf-years":
-		return func(c *repro.Config, v float64) { c.MTTFPerNode = repro.Years(v) }, nil
-	case "mttr-min":
-		return func(c *repro.Config, v float64) { c.MTTR = repro.Minutes(v) }, nil
-	case "mttq-sec":
-		return func(c *repro.Config, v float64) { c.MTTQ = repro.Seconds(v) }, nil
-	case "timeout-sec":
-		return func(c *repro.Config, v float64) { c.Timeout = repro.Seconds(v) }, nil
-	case "pe":
-		return func(c *repro.Config, v float64) {
-			c.ProbCorrelated = v
-			c.CorrelatedFactor = r
-		}, nil
-	case "alpha":
-		return func(c *repro.Config, v float64) {
-			c.GenericCorrelatedCoefficient = v
-			c.CorrelatedFactor = r
-		}, nil
-	default:
+	set, ok := cli.Setter(param)
+	if !ok {
 		return nil, fmt.Errorf("unknown parameter %q", param)
 	}
+	if param == "pe" || param == "alpha" {
+		return func(c *repro.Config, v float64) {
+			set(c, v)
+			c.CorrelatedFactor = r
+		}, nil
+	}
+	return set, nil
 }

@@ -18,7 +18,7 @@ import (
 	"os"
 	"strings"
 
-	"repro"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/phasetrace"
@@ -34,17 +34,16 @@ func main() {
 
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("cctrace", flag.ContinueOnError)
+	modelFlags := cli.ModelFlags(fs, "procs", "mttf-years")
 	var (
-		procs     = fs.Int("procs", 65536, "total compute processors")
-		mttfYears = fs.Float64("mttf-years", 1, "per-node MTTF in years")
-		horizon   = fs.Float64("horizon", 100, "simulated hours to trace")
-		seed      = fs.Uint64("seed", 1, "random seed")
-		only      = fs.String("only", "", "comma-separated activity names to keep (default: all)")
-		marking   = fs.Bool("marking", false, "include the non-empty marking in each event")
-		summary   = fs.Bool("summary", false, "print per-activity counts instead of events")
-		spans     = fs.Bool("spans", false, "emit phase spans (computation/rework/quiesce/dump/fswait/recovery/downtime) instead of raw firings")
-		chrome    = fs.String("chrome", "", "with -spans: write the timeline as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
-		fullscan  = fs.Bool("fullscan", false, "use the full-rescan scheduler instead of the incremental one (debugging; traces are bit-identical)")
+		horizon  = fs.Float64("horizon", 100, "simulated hours to trace")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		only     = fs.String("only", "", "comma-separated activity names to keep (default: all)")
+		marking  = fs.Bool("marking", false, "include the non-empty marking in each event")
+		summary  = fs.Bool("summary", false, "print per-activity counts instead of events")
+		spans    = fs.Bool("spans", false, "emit phase spans (computation/rework/quiesce/dump/fswait/recovery/downtime) instead of raw firings")
+		chrome   = fs.String("chrome", "", "with -spans: write the timeline as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
+		fullscan = fs.Bool("fullscan", false, "use the full-rescan scheduler instead of the incremental one (debugging; traces are bit-identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,8 +53,9 @@ func run(args []string, stdout *os.File) error {
 	}
 
 	cfg := cluster.Default()
-	cfg.Processors = *procs
-	cfg.MTTFPerNode = repro.Years(*mttfYears)
+	if err := modelFlags.Apply(&cfg); err != nil {
+		return err
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -109,7 +109,7 @@ func run(args []string, stdout *os.File) error {
 			if err != nil {
 				return err
 			}
-			if err := tl.WriteChrome(f, fmt.Sprintf("cctrace procs=%d seed=%d", *procs, *seed)); err != nil {
+			if err := tl.WriteChrome(f, fmt.Sprintf("cctrace procs=%d seed=%d", cfg.Processors, *seed)); err != nil {
 				f.Close()
 				return err
 			}

@@ -71,9 +71,6 @@ func TestInputValidation(t *testing.T) {
 	if _, err := Efficiency(1, -1, 1, 1); err == nil {
 		t.Error("Efficiency accepted negative overhead")
 	}
-	if _, _, err := OptimalEfficiency(0, 1, 1); err == nil {
-		t.Error("OptimalEfficiency accepted zero overhead")
-	}
 	if _, err := SystemMTBF(0, 1); err == nil {
 		t.Error("SystemMTBF accepted zero nodes")
 	}
@@ -96,25 +93,6 @@ func TestEfficiencyLimits(t *testing.T) {
 	}
 	if eff2 > 0.01 {
 		t.Fatalf("efficiency at MTBF≪τ = %v, want ≈0", eff2)
-	}
-}
-
-func TestOptimalEfficiencyBeatsNeighbours(t *testing.T) {
-	overhead, restart, mtbf := 0.016, 0.167, 1.07
-	tau, best, err := OptimalEfficiency(overhead, restart, mtbf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{0.5, 0.8, 1.25, 2.0} {
-		e, _ := Efficiency(tau*f, overhead, restart, mtbf)
-		if e > best+1e-9 {
-			t.Fatalf("interval %v beats 'optimum' %v: %v > %v", tau*f, tau, e, best)
-		}
-	}
-	// Golden-section optimum should be near Daly's closed form.
-	daly, _ := DalyOptimalInterval(overhead, mtbf)
-	if math.Abs(tau-daly)/daly > 0.15 {
-		t.Fatalf("numeric optimum %v far from Daly %v", tau, daly)
 	}
 }
 

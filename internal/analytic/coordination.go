@@ -77,68 +77,3 @@ func CoordinationEfficiency(n int, mttq, timeout, interval, dump, restart, mtbf 
 	eff := execShare * failFactor * math.Exp(-lambda*restart)
 	return eff, p, nil
 }
-
-// OptimalTimeoutAnalytic finds the master timeout maximising the renewal
-// model's predicted useful-work fraction by golden-section search over
-// (lowerBound, upperBound), and returns (bestTimeout, predictedFraction).
-// It quantifies the paper's §7.2 observation that the system is
-// insensitive to timeouts above a threshold: the returned optimum sits
-// just past the coordination-time scale MTTQ·H_n.
-func OptimalTimeoutAnalytic(n int, mttq, interval, dump, restart, mtbf, lowerBound, upperBound float64) (float64, float64, error) {
-	if lowerBound <= 0 || upperBound <= lowerBound {
-		return 0, 0, fmt.Errorf("analytic: invalid timeout bounds [%v, %v]", lowerBound, upperBound)
-	}
-	f := func(timeout float64) float64 {
-		eff, _, err := CoordinationEfficiency(n, mttq, timeout, interval, dump, restart, mtbf)
-		if err != nil {
-			return -1
-		}
-		return eff
-	}
-	const phi = 0.6180339887498949
-	a, b := lowerBound, upperBound
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < 200 && b-a > 1e-9*upperBound; i++ {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = f(x2)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = f(x1)
-		}
-	}
-	best := (a + b) / 2
-	return best, f(best), nil
-}
-
-// LatencyAwareEfficiency extends Efficiency with the checkpoint
-// overhead/latency distinction of Vaidya [12]: overhead C is the time the
-// application is stalled per checkpoint, while latency L ≥ C is the time
-// until the checkpoint is committed to stable storage. A failure landing
-// within the extra exposure L−C after the application resumes still rolls
-// back to the previous checkpoint, so the failure-exposure term uses
-// interval+L while the wall-time term uses interval+C:
-//
-//	eff = interval / [ e^{λR} · (1/λ) · (e^{λ(interval+L)} − 1) · (interval+C)/(interval+L) ]
-//
-// With L = C this reduces exactly to Efficiency.
-func LatencyAwareEfficiency(interval, overhead, latency, restart, mtbf float64) (float64, error) {
-	if interval <= 0 || mtbf <= 0 {
-		return 0, fmt.Errorf("analytic: interval %v and MTBF %v must be positive", interval, mtbf)
-	}
-	if overhead < 0 || restart < 0 {
-		return 0, fmt.Errorf("analytic: negative overhead %v or restart %v", overhead, restart)
-	}
-	if latency < overhead {
-		return 0, fmt.Errorf("analytic: latency %v below overhead %v", latency, overhead)
-	}
-	lambda := 1 / mtbf
-	exposure := math.Expm1(lambda*(interval+latency)) / lambda
-	scale := (interval + overhead) / (interval + latency)
-	expected := math.Exp(lambda*restart) * exposure * scale
-	return interval / expected, nil
-}

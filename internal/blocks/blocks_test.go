@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -389,4 +390,47 @@ func stripWallClock(s string) string {
 		s = re.ReplaceAllString(s, `"`+f+`":X`)
 	}
 	return s
+}
+
+// TestWorkRunsEachBlockOnce races two Work loops over many no-op blocks.
+// A block one worker commits between the other's completeness check and
+// its claim must be skipped, not run again: without an expired lease, every
+// block runs exactly once.
+func TestWorkRunsEachBlockOnce(t *testing.T) {
+	m, err := Plan([]Cell{{Label: "a=1", X: 1, Seed: 7, Replications: 512, Config: cluster.Default()}},
+		PlanOptions{Name: "a", BlockSize: 1, Warmup: 10, Measure: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := CreateRun(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]atomic.Int32, len(m.Blocks))
+	run := func(ctx context.Context, m *Manifest, b Block) (BlockOutput, error) {
+		runs[b.ID].Add(1)
+		return synthRun(ctx, m, b)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			_, errs[w] = Work(context.Background(), dir, run, WorkerOptions{
+				Name: fmt.Sprintf("w%d", w), Heartbeat: -1, Poll: time.Millisecond,
+			})
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := range runs {
+		if n := runs[id].Load(); n != 1 {
+			t.Errorf("block %d ran %d times, want 1", id, n)
+		}
+	}
 }

@@ -21,8 +21,8 @@ import (
 // RunFunc executes one claimed block and returns its replication records.
 // Implementations must be pure functions of (manifest, block) — every seed
 // the block needs is in b.Seeds — so that any worker, on any machine, at
-// any time produces identical records. internal/runner provides the
-// estimate-kind implementation; cmd/ccjob provides the completion kind.
+// any time produces identical records. runner.BlockRunner implements it
+// for every manifest kind.
 type RunFunc func(ctx context.Context, m *Manifest, b Block) (BlockOutput, error)
 
 // WorkerOptions configures a Work loop.
@@ -101,7 +101,7 @@ type Summary struct {
 	// broke first.
 	Reclaimed int
 	// SkippedComplete counts blocks that were already journaled when this
-	// worker first scanned them.
+	// worker first scanned or claimed them.
 	SkippedComplete int
 	// Events is the total simulation events across completed blocks.
 	Events uint64
@@ -135,26 +135,9 @@ func NewWorkerProfiler(runDir, name, profileDir string, every time.Duration, log
 		Meta:   stamp,
 		Log:    log,
 	})
-	done := make(chan struct{})
-	var tick *time.Ticker
-	if every > 0 {
-		tick = time.NewTicker(every)
-		go func() {
-			for {
-				select {
-				case <-tick.C:
-					profiler.Trigger("periodic")
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
+	stopEvery := profiler.Every(every)
 	return profiler, func() {
-		if tick != nil {
-			tick.Stop()
-		}
-		close(done)
+		stopEvery()
 		profiler.Wait()
 	}
 }
@@ -248,6 +231,21 @@ func Work(ctx context.Context, dir string, run RunFunc, o WorkerOptions) (s Summ
 			}
 			if res == claimHeld {
 				remaining++
+				continue
+			}
+			// A peer may have committed the block between the check above
+			// and our claim. It commits before it releases, so a re-check
+			// under our lease is conclusive.
+			if BlockComplete(dir, m, b) {
+				if err := release(dir, b.ID); err != nil {
+					return s, err
+				}
+				seenComplete[b.ID] = true
+				s.SkippedComplete++
+				if mSkipped != nil {
+					mSkipped.Inc()
+				}
+				hb.sync(s)
 				continue
 			}
 			if res == claimReclaimed {

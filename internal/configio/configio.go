@@ -125,16 +125,11 @@ func (f FileConfig) ToCluster() (cluster.Config, error) {
 	}
 	setDur(&c.CorrelatedWindow, f.CorrelatedWindowMinutes, cluster.Minutes)
 	c.GenericCorrelatedCoefficient = f.GenericCorrelatedCoefficient
-	switch f.Coordination {
-	case "", "fixed":
-		c.Coordination = cluster.CoordFixed
-	case "none":
-		c.Coordination = cluster.CoordNone
-	case "max-of-n":
-		c.Coordination = cluster.CoordMaxOfN
-	default:
-		return cluster.Config{}, fmt.Errorf("configio: unknown coordination %q", f.Coordination)
+	coord, err := ParseCoordination(f.Coordination)
+	if err != nil {
+		return cluster.Config{}, err
 	}
+	c.Coordination = coord
 	c.BlockingCheckpointWrite = f.BlockingCheckpointWrite
 	c.NoBufferedRecovery = f.NoBufferedRecovery
 	c.NoIOFailures = f.NoIOFailures
@@ -164,6 +159,21 @@ func (f FileConfig) ToCluster() (cluster.Config, error) {
 		return cluster.Config{}, fmt.Errorf("configio: %w", err)
 	}
 	return c, nil
+}
+
+// ParseCoordination maps a coordination name — "fixed" (or empty),
+// "none" or "max-of-n" — to its mode. Config files and the CLIs' flags
+// share it.
+func ParseCoordination(name string) (cluster.CoordinationMode, error) {
+	switch name {
+	case "", "fixed":
+		return cluster.CoordFixed, nil
+	case "none":
+		return cluster.CoordNone, nil
+	case "max-of-n":
+		return cluster.CoordMaxOfN, nil
+	}
+	return 0, fmt.Errorf("configio: unknown coordination %q", name)
 }
 
 // FromCluster converts a model configuration to the file schema.

@@ -79,24 +79,38 @@ func JobCompletion(cfg cluster.Config, work float64, replications int, seed uint
 		return Completion{}, fmt.Errorf("cyclesim: replications %d < 1", replications)
 	}
 	root := rng.New(seed)
-	var acc stats.Accumulator
-	out := Completion{Work: work, Samples: make([]float64, 0, replications)}
+	samples := make([]float64, 0, replications)
+	for r := 0; r < replications; r++ {
+		wall, err := ReplicateCompletion(cfg, work, root.Uint64())
+		if err != nil {
+			return Completion{}, err
+		}
+		samples = append(samples, wall)
+	}
+	return NewCompletion(work, samples, 0.95), nil
+}
+
+// ReplicateCompletion runs one completion-time replication from its own
+// seed. JobCompletion and the completion-kind block runner both call it, so
+// a sharded forecast runs exactly the monolithic replications.
+func ReplicateCompletion(cfg cluster.Config, work float64, seed uint64) (float64, error) {
+	s, err := New(cfg, seed)
+	if err != nil {
+		return 0, err
+	}
 	// Generous wall bound: even a machine retaining 0.1% of its time
 	// finishes within work×1000.
-	maxWall := work * 1000
-	for r := 0; r < replications; r++ {
-		s, err := New(cfg, root.Uint64())
-		if err != nil {
-			return Completion{}, err
-		}
-		wall, err := s.CompletionTime(work, maxWall)
-		if err != nil {
-			return Completion{}, err
-		}
-		acc.Add(wall)
-		out.Samples = append(out.Samples, wall)
+	return s.CompletionTime(work, work*1000)
+}
+
+// NewCompletion summarises completion times given in replication order:
+// the CI accumulates in that order, then the samples are sorted for the
+// quantiles. samples is sorted in place.
+func NewCompletion(work float64, samples []float64, confidence float64) Completion {
+	var acc stats.Accumulator
+	for _, v := range samples {
+		acc.Add(v)
 	}
-	sort.Float64s(out.Samples)
-	out.Mean = acc.CI(0.95)
-	return out, nil
+	sort.Float64s(samples)
+	return Completion{Work: work, Samples: samples, Mean: acc.CI(confidence)}
 }

@@ -118,10 +118,9 @@ func checkNoInteriorOptimum(fig *Figure) []ClaimResult {
 		if len(s.Points) < 2 {
 			continue
 		}
-		first := s.Points[0]
-		s := s
-		x, y, _ := fig.ArgMax(&s)
-		pass := x == first.X || y <= fig.YValue(first)+slack(first, s.Points[0], fig)
+		first, best := s.Points[0], fig.peak(&s)
+		x, y := best.X, fig.YValue(best)
+		pass := x == first.X || y <= fig.YValue(first)+slack(first, best, fig)
 		out = append(out, ClaimResult{
 			fig.ID, "no optimum beyond the smallest interval", pass,
 			fmt.Sprintf("%s: best at %g (%.4g) vs smallest %g (%.4g)", s.Name, x, y, first.X, fig.YValue(first)),

@@ -124,6 +124,29 @@ func TestCheckNoInteriorOptimum(t *testing.T) {
 	}
 }
 
+// TestCheckNoInteriorOptimumWideBest pins the slack of the fig4b check:
+// the best point is compared with the smallest interval using both points'
+// CI half-widths. Here the best (155 ± 10) beats the smallest interval
+// (150 ± 1) by less than the combined 11 but by more than the smallest
+// interval's own 2, so only a check that counts the best point's CI
+// passes it.
+func TestCheckNoInteriorOptimumWideBest(t *testing.T) {
+	pt := func(x, total, half float64) Point {
+		return Point{X: x, Total: stats.Interval{Mean: total, HalfWide: half, Level: 0.95, N: 3}}
+	}
+	fig := &Figure{ID: "fig4b", YLabel: "total useful work", Series: []Series{{
+		Name:   "procs=8192",
+		Points: []Point{pt(15, 150, 1), pt(30, 155, 10), pt(60, 60, 1)},
+	}}}
+	if res := CheckClaims(fig); !allPass(res) {
+		t.Fatalf("bump within the combined CIs failed fig4b: %+v", res)
+	}
+	fig.Series[0].Points[1] = pt(30, 162, 10)
+	if allPass(CheckClaims(fig)) {
+		t.Fatal("bump beyond the combined CIs passed fig4b")
+	}
+}
+
 func TestCheckSharpDrop(t *testing.T) {
 	// Totals (y·x): 100 → 95 → 60, a small drop then a sharp one.
 	fig := &Figure{ID: "fig4f", YLabel: "total useful work", Series: []Series{

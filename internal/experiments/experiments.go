@@ -62,13 +62,19 @@ func (f *Figure) ArgMax(s *Series) (x, y float64, ok bool) {
 	if s == nil || len(s.Points) == 0 {
 		return 0, 0, false
 	}
+	best := f.peak(s)
+	return best.X, f.YValue(best), true
+}
+
+// peak returns the first point of a non-empty series with the highest y.
+func (f *Figure) peak(s *Series) Point {
 	best := s.Points[0]
 	for _, p := range s.Points[1:] {
 		if f.YValue(p) > f.YValue(best) {
 			best = p
 		}
 	}
-	return best.X, f.YValue(best), true
+	return best
 }
 
 // WriteTable renders the figure as an aligned text table: one row per x

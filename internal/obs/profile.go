@@ -138,6 +138,34 @@ func (p *ProfileCapture) Trigger(reason string) bool {
 	return true
 }
 
+// Every triggers a "periodic" capture at each tick of d until the returned
+// stop func is called; d ≤ 0 arms nothing. Call stop before Wait, so no
+// tick can start a capture that Wait does not see.
+func (p *ProfileCapture) Every(d time.Duration) (stop func()) {
+	if p == nil || d <= 0 {
+		return func() {}
+	}
+	tick := time.NewTicker(d)
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-tick.C:
+				p.Trigger("periodic")
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		tick.Stop()
+		close(done)
+		<-exited
+	}
+}
+
 // Wait blocks until any in-flight capture has committed. Call before
 // process exit so the last capture is not torn. Nil-safe.
 func (p *ProfileCapture) Wait() {

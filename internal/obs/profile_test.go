@@ -134,6 +134,35 @@ func TestProfileCaptureBudget(t *testing.T) {
 	}
 }
 
+// TestProfileCaptureEvery: the periodic ticker captures until stopped,
+// and once stop returns no tick can start another capture.
+func TestProfileCaptureEvery(t *testing.T) {
+	dir := t.TempDir()
+	p := NewProfileCapture(ProfileCaptureOptions{
+		Dir: dir, Window: time.Millisecond, NoCPU: true, MaxCaptures: -1,
+	})
+	stop := p.Every(time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Captures() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	p.Wait()
+	n := p.Captures()
+	if n < 2 {
+		t.Fatalf("Captures = %d after 10s of 1ms ticks", n)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if p.Captures() != n {
+		t.Fatalf("captured after stop: %d → %d", n, p.Captures())
+	}
+	infos, err := ReadProfiles(dir)
+	if err != nil || len(infos) != n || infos[0].Reason != "periodic" {
+		t.Fatalf("ReadProfiles = %+v, %v", infos, err)
+	}
+	p.Every(0)() // d ≤ 0 arms nothing
+}
+
 func TestProfileCaptureNilSafe(t *testing.T) {
 	var p *ProfileCapture
 	if p.Trigger("nil") {

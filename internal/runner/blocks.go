@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/blocks"
+	"repro/internal/cyclesim"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/vr"
@@ -53,16 +54,22 @@ func PlanGrid(name string, cells []blocks.Cell, blockSize int, opts Options) (*b
 	})
 }
 
-// BlockRunner returns the estimate-kind blocks.RunFunc: it executes one
-// claimed block's replications with the seeds the manifest pre-assigned
-// and hands back records built by the same repFields the monolithic
-// journal writer uses — which is the whole byte-identity argument at the
-// record level. workers bounds in-block parallelism (0/1 sequential,
-// negative one per CPU); metrics, when non-nil, receives the same
-// runner.*/des.* telemetry a monolithic run records.
+// BlockRunner returns the blocks.RunFunc for every manifest kind. An
+// estimate block executes its replications with the seeds the manifest
+// pre-assigned and hands back records built by the same repFields the
+// monolithic journal writer uses — which is the whole byte-identity
+// argument at the record level. workers bounds in-block parallelism (0/1
+// sequential, negative one per CPU); metrics, when non-nil, receives the
+// same runner.*/des.* telemetry a monolithic run records. A completion
+// block runs cyclesim.ReplicateCompletion per seed, the loop body of
+// cyclesim.JobCompletion.
 func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 	return func(ctx context.Context, m *blocks.Manifest, b blocks.Block) (blocks.BlockOutput, error) {
-		if m.Kind != blocks.KindEstimate {
+		switch m.Kind {
+		case blocks.KindEstimate:
+		case blocks.KindCompletion:
+			return completionBlock(ctx, m, b)
+		default:
 			return blocks.BlockOutput{}, fmt.Errorf("runner: cannot run %q blocks", m.Kind)
 		}
 		cell := m.Cells[b.CellIndex]
@@ -118,6 +125,28 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 		}
 		return out, nil
 	}
+}
+
+// completionBlock runs one completion-kind block: a completion-time
+// replication per pre-assigned seed, recorded as wall hours.
+func completionBlock(ctx context.Context, m *blocks.Manifest, b blocks.Block) (blocks.BlockOutput, error) {
+	cell := m.Cells[b.CellIndex]
+	out := blocks.BlockOutput{Records: make([]blocks.Record, len(b.Seeds))}
+	for i, seed := range b.Seeds {
+		if err := ctx.Err(); err != nil {
+			return blocks.BlockOutput{}, err
+		}
+		wall, err := cyclesim.ReplicateCompletion(cell.Config, m.Work, seed)
+		if err != nil {
+			return blocks.BlockOutput{}, err
+		}
+		fields := map[string]any{"rep": b.RepStart + i, "seed": seed, "wall_hours": wall}
+		if cell.Label != "" {
+			fields["label"] = cell.Label
+		}
+		out.Records[i] = blocks.Record{Kind: "replication", Fields: fields}
+	}
+	return out, nil
 }
 
 // CellError tags a grid-cell failure with the cell's identity so sweep

@@ -412,46 +412,3 @@ func (b *BatchMeans) Quantile(q float64) float64 {
 	}
 	return sorted[idx]
 }
-
-// Histogram counts observations in equal-width bins over [Low, High); values
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	Low, High float64
-	Counts    []int
-	Under     int
-	Over      int
-	total     int
-}
-
-// NewHistogram creates a histogram with the given number of bins.
-func NewHistogram(low, high float64, bins int) *Histogram {
-	return &Histogram{Low: low, High: high, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Low:
-		h.Under++
-	case x >= h.High:
-		h.Over++
-	default:
-		i := int((x - h.Low) / (h.High - h.Low) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
