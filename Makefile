@@ -37,17 +37,26 @@ bench:
 # the archived ns/op could swing 10x between identical commits; 100
 # iterations × 3 samples gives compare's median+MAD detector something with
 # an actual central tendency, while staying cheap enough for every CI run.
+#
+# The layer rungs of the performance ladder ride along: the san settle on a
+# sparse 256-activity net (incremental and full scan) and one incremental
+# trajectory of the paper's base model. Their per-op costs differ by five
+# orders of magnitude, so each gets its own -benchtime, sized to about a
+# second per three-sample run.
+LAYER_BENCH = $(GO) test -run NONE -bench 'Settle$$' -benchtime=50000x -count=3 -benchmem ./internal/san && \
+	$(GO) test -run NONE -bench 'Trajectory$$/incremental' -benchtime=20x -count=3 -benchmem ./internal/model
+
 bench-smoke:
-	$(GO) test -run NONE -bench 'ScheduleFire$$|RecycleVsRebuild' -benchtime=100x -count=3 -benchmem \
-		./internal/des ./internal/model | $(GO) run ./cmd/ccbench -o BENCH_5.json
+	{ $(GO) test -run NONE -bench 'ScheduleFire$$|RecycleVsRebuild' -benchtime=100x -count=3 -benchmem \
+		./internal/des ./internal/model && $(LAYER_BENCH); } | $(GO) run ./cmd/ccbench -o BENCH_5.json
 
 # Performance-regression sentinel: run the smoke benchmarks, append a
 # provenance-stamped report to the local history, render the trend, and
 # gate on the last two entries (median + MAD noise band; -warn-only keeps
 # local runs informative rather than fatal — CI drops the flag).
 bench-trend:
-	$(GO) test -run NONE -bench 'ScheduleFire$$|RecycleVsRebuild' -benchtime=100x -count=3 -benchmem \
-		./internal/des ./internal/model | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_5.json
+	{ $(GO) test -run NONE -bench 'ScheduleFire$$|RecycleVsRebuild' -benchtime=100x -count=3 -benchmem \
+		./internal/des ./internal/model && $(LAYER_BENCH); } | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_5.json
 	$(GO) run ./cmd/ccbench trend -history BENCH_HISTORY.jsonl
 	$(GO) run ./cmd/ccbench compare -history BENCH_HISTORY.jsonl -warn-only
 

@@ -288,10 +288,22 @@ func BenchmarkEstimateParallel(b *testing.B) {
 
 // ---- micro-benchmarks of the substrates ----
 
-// BenchmarkModelTrajectory measures raw simulation speed of the composed
-// SAN at the paper's base configuration (events/op via b.ReportMetric).
-func BenchmarkModelTrajectory(b *testing.B) {
+// engineComparisonConfig is the one workload both simulation engines run
+// for a like-for-like speed comparison: the paper's base configuration
+// restricted to the renewal-cycle engine's envelope (a pure-compute
+// application, no I/O-node failures).
+func engineComparisonConfig() cluster.Config {
 	cfg := cluster.Default()
+	cfg.ComputeFraction = 1
+	cfg.NoIOFailures = true
+	return cfg
+}
+
+// BenchmarkModelTrajectory measures raw simulation speed of the composed
+// SAN: one 1000-hour trajectory per op on engineComparisonConfig, the
+// workload BenchmarkCycleEngineTrajectory also runs.
+func BenchmarkModelTrajectory(b *testing.B) {
+	cfg := engineComparisonConfig()
 	for i := 0; i < b.N; i++ {
 		in, err := model.New(cfg, uint64(i+1))
 		if err != nil {
@@ -341,12 +353,11 @@ func BenchmarkSimulatePublicAPI(b *testing.B) {
 }
 
 // BenchmarkCycleEngineTrajectory measures the independent renewal-cycle
-// engine on the base configuration (same workload as
-// BenchmarkModelTrajectory, for an engine-to-engine speed comparison).
+// engine: one 1000-hour trajectory per op on engineComparisonConfig, the
+// same workload as BenchmarkModelTrajectory, so the ratio of the two ns/op
+// is the engine-to-engine speedup.
 func BenchmarkCycleEngineTrajectory(b *testing.B) {
-	cfg := cluster.Default()
-	cfg.ComputeFraction = 1
-	cfg.NoIOFailures = true
+	cfg := engineComparisonConfig()
 	for i := 0; i < b.N; i++ {
 		s, err := cyclesim.New(cfg, uint64(i+1))
 		if err != nil {

@@ -53,26 +53,18 @@ type stateRewards struct {
 // re-evaluates it when one of them changes.
 func (in *Instance) addStateRewards() {
 	pl := in.pl
-	ind := func(p *san.Place) func(m *san.Marking) float64 {
-		return func(m *san.Marking) float64 {
-			if m.Has(p) {
-				return 1
-			}
-			return 0
-		}
-	}
 	in.states = stateRewards{
-		execution: in.sim.AddRateReward("state_execution", ind(pl.execution), pl.execution),
-		quiesce:   in.sim.AddRateReward("state_quiesce", ind(pl.quiescing), pl.quiescing),
-		dump:      in.sim.AddRateReward("state_dump", ind(pl.checkpointing), pl.checkpointing),
-		fsWait:    in.sim.AddRateReward("state_fswait", ind(pl.fsWait), pl.fsWait),
+		execution: in.sim.AddOccupancyReward("state_execution", pl.execution),
+		quiesce:   in.sim.AddOccupancyReward("state_quiesce", pl.quiescing),
+		dump:      in.sim.AddOccupancyReward("state_dump", pl.checkpointing),
+		fsWait:    in.sim.AddOccupancyReward("state_fswait", pl.fsWait),
 		recovery: in.sim.AddRateReward("state_recovery", func(m *san.Marking) float64 {
 			if m.Has(pl.recoveryStage1) || m.Has(pl.recoveryStage2) {
 				return 1
 			}
 			return 0
 		}, pl.recoveryStage1, pl.recoveryStage2),
-		reboot: in.sim.AddRateReward("state_reboot", ind(pl.rebooting), pl.rebooting),
+		reboot: in.sim.AddOccupancyReward("state_reboot", pl.rebooting),
 	}
 }
 

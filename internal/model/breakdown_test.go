@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/rng"
+	"repro/internal/san"
 )
 
 // TestBreakdownSumsToOne: the macro states partition wall time.
@@ -172,5 +174,56 @@ func TestNoLossWithoutFailures(t *testing.T) {
 	}
 	if m.MeanLostWorkPerFailure != 0 || m.MaxLostWork != 0 {
 		t.Fatalf("loss stats nonzero on reliable system: %v / %v", m.MeanLostWorkPerFailure, m.MaxLostWork)
+	}
+}
+
+// TestOccupancyRewardsMatchReplacedClosures is a property test over random
+// markings of the paper net: each occupancy reward — useful-work progress
+// and the five single-place state rewards — has the same rate as the
+// closure it replaced. (That the compiled occupancy mask agrees with the
+// reward's rate closure is san's TestCompiledMasksAgreeOnPaperNet.)
+func TestOccupancyRewardsMatchReplacedClosures(t *testing.T) {
+	in, err := New(cluster.Default(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := in.pl
+	ind := func(p *san.Place) func(m *san.Marking) float64 {
+		return func(m *san.Marking) float64 {
+			if m.Has(p) {
+				return 1
+			}
+			return 0
+		}
+	}
+	replaced := []struct {
+		reward *san.RateReward
+		rate   func(m *san.Marking) float64
+	}{
+		{in.progress, func(m *san.Marking) float64 {
+			if m.Has(pl.execution) && m.Has(pl.sysUp) {
+				return 1
+			}
+			return 0
+		}},
+		{in.states.execution, ind(pl.execution)},
+		{in.states.quiesce, ind(pl.quiescing)},
+		{in.states.dump, ind(pl.checkpointing)},
+		{in.states.fsWait, ind(pl.fsWait)},
+		{in.states.reboot, ind(pl.rebooting)},
+	}
+	mk := in.sim.Marking()
+	places := in.mod.Places()
+	src := rng.New(9)
+	for trial := 0; trial < 2000; trial++ {
+		for _, p := range places {
+			mk.Set(p, int(src.Uint64()%3))
+		}
+		for _, r := range replaced {
+			if got, want := r.reward.Rate(mk), r.rate(mk); got != want {
+				t.Fatalf("trial %d: reward %q rate %v, replaced closure %v (marking %s)",
+					trial, r.reward.Name, got, want, in.sim.DescribeMarking())
+			}
+		}
 	}
 }

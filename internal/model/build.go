@@ -99,8 +99,10 @@ func New(cfg cluster.Config, seed uint64) (*Instance, error) {
 		return nil, err
 	}
 	inst.sim = sim
-	inst.progress = sim.AddRateReward("progress", inst.progressRate,
-		inst.pl.execution, inst.pl.sysUp)
+	// Useful work accrues at rate 1 while the compute nodes are executing
+	// the application (computation or application I/O both count,
+	// Section 7), 0 while quiescing, checkpointing, recovering or rebooting.
+	inst.progress = sim.AddOccupancyReward("progress", inst.pl.execution, inst.pl.sysUp)
 	inst.addStateRewards()
 	return inst, nil
 }
@@ -135,16 +137,6 @@ func (in *Instance) Model() *san.Model { return in.mod }
 
 // Counters returns the event tallies so far.
 func (in *Instance) Counters() Counters { return in.counters }
-
-// progressRate is the useful-work accrual rate: 1 while the compute nodes
-// are executing the application (computation or application I/O both count,
-// Section 7), 0 while quiescing, checkpointing, recovering or rebooting.
-func (in *Instance) progressRate(m *san.Marking) float64 {
-	if m.Has(in.pl.execution) && m.Has(in.pl.sysUp) {
-		return 1
-	}
-	return 0
-}
 
 // useful returns the net useful work accrued so far, P − L.
 func (in *Instance) useful() float64 { return in.progress.Integral() - in.lost }

@@ -1,6 +1,7 @@
 package san
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -218,8 +219,8 @@ func TestResetReusesSchedulerState(t *testing.T) {
 		t.Fatalf("Reset left impulse state count=%d total=%v", drains.Count(), drains.Total())
 	}
 	mk := sim.Marking()
-	if len(mk.dirty) != 0 || len(mk.log) != 0 {
-		t.Fatalf("Reset left open dirty state: dirty=%v log=%v", mk.dirty, mk.log)
+	if !mk.dirty.empty() || !mk.fresh.empty() {
+		t.Fatalf("Reset left open dirty state: dirty=%b fresh=%b", mk.dirty, mk.fresh)
 	}
 	if m.deps == nil {
 		t.Fatal("Reset dropped the dependency index")
@@ -274,6 +275,210 @@ func TestResetReusesSchedulerState(t *testing.T) {
 		if incr[i] != full[i] || incr[i] != reused[i] {
 			t.Fatalf("post-reset event %d differs: reused=%+v incr=%+v full=%+v",
 				i, reused[i], incr[i], full[i])
+		}
+	}
+}
+
+// buildWideNet generates a net of rings wide enough that every scheduler
+// bitset — places, activities and rate rewards — spans more than one
+// 64-bit word, with gates, reactivation lists and occupancy rewards that
+// straddle the word boundaries. Ring i holds places a_i (one token), b_i
+// and c_i; the places are created a's first, then b's, then c's, so a
+// ring's places sit in different words, and a round-robin mode toggle
+// (four mode places at the end) couples the rings. Per ring, in creation
+// order (so activity indices interleave across words):
+//
+//   - go_i (timed): a_i → b_i, gated by AllOf(a_i, gate mode), When
+//     with declared reads, or an undeclared When; its delay halves while
+//     its own mode place is marked, and every third ring reactivates on
+//     that place (every sixth also on a neighbour's a, in another word);
+//   - hop_i (instantaneous): b_i → c_i, with priorities mixed across rings;
+//   - back_i (timed): c_i → a_i, gated AllOf, declared or undeclared;
+//   - every fourth ring, bump_i (instantaneous): when c_i and the next
+//     ring's a are both marked, it pushes the next ring into b, which
+//     enables that ring's hop — an instantaneous chain across rings.
+//
+// The rate rewards are occupancy rewards over (a_i, its mode place) and
+// over c_i, a declared closure summing the b's, and an undeclared closure
+// counting mode tokens — more than 64 rewards in all.
+func buildWideNet(rings int) (*Model, func(sim *Simulator) []*RateReward) {
+	m := NewModel("wide")
+	a := make([]*Place, rings)
+	b := make([]*Place, rings)
+	c := make([]*Place, rings)
+	for i := range a {
+		a[i] = m.Place(fmt.Sprintf("a%d", i), 1)
+	}
+	for i := range b {
+		b[i] = m.Place(fmt.Sprintf("b%d", i), 0)
+	}
+	for i := range c {
+		c[i] = m.Place(fmt.Sprintf("c%d", i), 0)
+	}
+	var mode [4]*Place
+	for k := range mode {
+		mode[k] = m.Place(fmt.Sprintf("mode%d", k), k%2)
+	}
+	clock := m.Place("clock", 1)
+	phase := m.Place("phase", 0)
+
+	for i := 0; i < rings; i++ {
+		i, md, gm := i, mode[i%4], mode[(i+2)%4]
+		var goGate InputGate
+		switch i % 3 {
+		case 0:
+			goGate = AllOf(a[i], gm)
+		case 1:
+			goGate = When(func(mk *Marking) bool { return mk.Has(a[i]) && mk.Has(gm) }, a[i], gm)
+		default:
+			goGate = When(func(mk *Marking) bool { return mk.Has(a[i]) })
+		}
+		goAct := Activity{
+			Name:  fmt.Sprintf("go%d", i),
+			Input: goGate,
+			Delay: func(mk *Marking, src rng.Source) float64 {
+				mean := 1 + float64(i%5)
+				if mk.Has(md) {
+					mean /= 2
+				}
+				return rng.Exponential{MeanValue: mean}.Sample(src)
+			},
+			Output: Out(func(mk *Marking) { mk.Move(a[i], b[i]) }),
+		}
+		switch i % 6 {
+		case 0: // a list spanning two words
+			goAct.ReactivateOn = []*Place{a[(i+5)%rings], md}
+		case 3:
+			goAct.ReactivateOn = []*Place{md}
+		}
+		m.AddTimed(goAct)
+		m.AddInstant(Activity{
+			Name:     fmt.Sprintf("hop%d", i),
+			Input:    AllOf(b[i]),
+			Output:   Out(func(mk *Marking) { mk.Move(b[i], c[i]) }),
+			Priority: i % 3,
+		})
+		var backGate InputGate
+		switch i % 3 {
+		case 0:
+			backGate = When(func(mk *Marking) bool { return mk.Get(c[i]) > 0 })
+		case 1:
+			backGate = AllOf(c[i])
+		default:
+			backGate = When(func(mk *Marking) bool { return mk.Has(c[i]) }, c[i])
+		}
+		m.AddTimed(Activity{
+			Name:  fmt.Sprintf("back%d", i),
+			Input: backGate,
+			Delay: func(mk *Marking, src rng.Source) float64 {
+				return rng.Exponential{MeanValue: 2}.Sample(src)
+			},
+			Output: Out(func(mk *Marking) { mk.Move(c[i], a[i]) }),
+		})
+		if i%4 == 0 {
+			next := (i + 1) % rings
+			m.AddInstant(Activity{
+				Name:     fmt.Sprintf("bump%d", i),
+				Input:    AllOf(c[i], a[next]),
+				Output:   Out(func(mk *Marking) { mk.Move(a[next], b[next]) }),
+				Priority: 1,
+			})
+		}
+	}
+	m.AddTimed(Activity{
+		Name:  "flip",
+		Input: AllOf(clock),
+		Delay: func(mk *Marking, src rng.Source) float64 {
+			return rng.Exponential{MeanValue: 1.5}.Sample(src)
+		},
+		Output: Out(func(mk *Marking) {
+			k := mk.Get(phase)
+			if mk.Has(mode[k]) {
+				mk.Clear(mode[k])
+			} else {
+				mk.Set(mode[k], 1)
+			}
+			mk.Set(phase, (k+1)%4)
+		}, phase),
+	})
+
+	rewards := func(sim *Simulator) []*RateReward {
+		var out []*RateReward
+		for i := 0; i < rings; i++ {
+			out = append(out, sim.AddOccupancyReward(fmt.Sprintf("ready%d", i), a[i], mode[i%4]))
+		}
+		for i := 0; i < rings; i++ {
+			out = append(out, sim.AddOccupancyReward(fmt.Sprintf("parked%d", i), c[i]))
+		}
+		out = append(out, sim.AddRateReward("in_flight", func(mk *Marking) float64 {
+			n := 0
+			for _, p := range b {
+				n += mk.Get(p)
+			}
+			return float64(n)
+		}, b...))
+		out = append(out, sim.AddRateReward("modes_on", func(mk *Marking) float64 {
+			n := 0
+			for _, p := range mode {
+				n += mk.Get(p)
+			}
+			return float64(n)
+		})) // undeclared: refreshed after every firing
+		return out
+	}
+	return m, rewards
+}
+
+// TestWideNetDifferential runs the multi-word net under both schedulers
+// and requires identical traces and bit-identical reward integrals.
+func TestWideNetDifferential(t *testing.T) {
+	const rings = 40
+	run := func(seed uint64, fullScan bool) ([]firing, []float64) {
+		m, rewards := buildWideNet(rings)
+		sim, err := NewSimulator(m, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(m.Places()); n <= 64 {
+			t.Fatalf("wide net has %d places, want > 64", n)
+		}
+		if n := len(m.Activities()); n <= 64 {
+			t.Fatalf("wide net has %d activities, want > 64", n)
+		}
+		rs := rewards(sim)
+		if len(rs) <= 64 {
+			t.Fatalf("wide net has %d rate rewards, want > 64", len(rs))
+		}
+		sim.FullScan = fullScan
+		var events []firing
+		sim.SetTrace(func(tm float64, a *Activity, _ *Marking) {
+			events = append(events, firing{tm, a.Name})
+		})
+		sim.RunUntil(150)
+		integrals := make([]float64, len(rs))
+		for i, r := range rs {
+			integrals[i] = r.Integral()
+		}
+		return events, integrals
+	}
+	for _, seed := range []uint64{1, 2, 5, 13} {
+		incr, iInt := run(seed, false)
+		full, fInt := run(seed, true)
+		if len(incr) < 1000 {
+			t.Fatalf("seed %d: only %d firings; the net is too quiet to test", seed, len(incr))
+		}
+		if len(incr) != len(full) {
+			t.Fatalf("seed %d: event counts differ: %d vs %d", seed, len(incr), len(full))
+		}
+		for i := range incr {
+			if incr[i] != full[i] {
+				t.Fatalf("seed %d: event %d differs: %+v vs %+v", seed, i, incr[i], full[i])
+			}
+		}
+		for i := range iInt {
+			if iInt[i] != fInt[i] {
+				t.Fatalf("seed %d: reward %d integral %v (incremental) vs %v (full scan)", seed, i, iInt[i], fInt[i])
+			}
 		}
 	}
 }

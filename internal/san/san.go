@@ -6,13 +6,15 @@
 // and rate/impulse reward variables evaluated over the marking process.
 //
 // Gates are declarative: an input or output gate names the places its
-// closure reads. Validate uses the declarations to build a place→activity
-// dependency index, which lets the executor in simulator.go reconcile
-// enabling incrementally — after a firing only the activities (and rate
-// rewards) whose declared read places actually changed are re-evaluated,
-// instead of rescanning the whole net. Gates with an empty read-set are
-// treated conservatively as "reads everything" and rescanned after every
-// firing, so undeclared nets remain correct, just slower.
+// closure reads. Validate compiles the declarations into a place→activity
+// dependency index of word bitsets, which lets the executor in
+// simulator.go reconcile enabling incrementally — after a firing only the
+// activities (and rate rewards) whose declared read places actually
+// changed are re-evaluated, instead of rescanning the whole net. Gates
+// with an empty read-set are treated conservatively as "reads everything"
+// and rescanned after every firing, so undeclared nets remain correct,
+// just slower. AllOf gates compile further, to a place mask tested against
+// the marking's non-empty set without calling the predicate.
 //
 // The executor in simulator.go turns a Model into a discrete-event
 // simulation on top of internal/des.
@@ -65,6 +67,8 @@ type DelayFunc func(m *Marking, src rng.Source) float64
 type InputGate struct {
 	Reads []*Place
 	Cond  Predicate
+
+	allOf bool // built by AllOf: Cond holds exactly when every Reads place is non-empty
 }
 
 // OutputGate is a declarative firing function: the effect plus the places
@@ -85,17 +89,24 @@ func When(cond Predicate, reads ...*Place) InputGate {
 
 // AllOf builds the most common input gate declaratively: enabled exactly
 // when every listed place holds at least one token. The read-set is the
-// listed places themselves.
+// listed places themselves. Validate compiles the gate to a place mask the
+// incremental scheduler tests without calling Cond; the full scan calls
+// Cond, so the differential tests check the two against each other.
 func AllOf(places ...*Place) InputGate {
 	ps := append([]*Place(nil), places...)
-	return InputGate{Reads: ps, Cond: func(m *Marking) bool {
+	return InputGate{Reads: ps, Cond: allHave(ps), allOf: true}
+}
+
+// allHave is the predicate form of an AllOf mask.
+func allHave(ps []*Place) Predicate {
+	return func(m *Marking) bool {
 		for _, p := range ps {
 			if !m.Has(p) {
 				return false
 			}
 		}
 		return true
-	}}
+	}
 }
 
 // Out builds an output gate from an effect and the places it reads.
@@ -121,8 +132,7 @@ type Activity struct {
 	// Priority orders simultaneous instantaneous firings (higher first).
 	Priority int
 
-	index      int
-	reactivate []int32 // deduped ReactivateOn place indices, built by Validate
+	index int
 }
 
 // Enabled evaluates the input gate's condition.
@@ -138,21 +148,27 @@ type Model struct {
 	places     []*Place
 	activities []*Activity
 	byName     map[string]*Place
-	deps       *depIndex // place→activity dependency index, built by Validate
+	deps       *depIndex // compiled dependency index, built by Validate
 }
 
-// depIndex is the place→activity dependency index: for every place, which
-// activities' enabling (and which rewards' rates, tracked separately by the
-// simulator) can change when its token count changes. Built by Validate
-// from the declared gate read-sets.
+// depIndex is the compiled place→activity dependency index: for every
+// place, which activities' enabling (and, tracked separately by the
+// simulator, which rewards' rates) can change when its token count
+// changes. Rows are activity bitsets, so the dirty closure of a set of
+// changed places is the OR of their rows. Built by Validate from the
+// declared gate read-sets.
 type depIndex struct {
-	enableTimed [][]int32 // place index → timed activities whose input gate reads it
-	enableInst  [][]int32 // place index → instantaneous activities whose input gate reads it
-	react       [][]int32 // place index → activities that reactivate on it
-	scanTimed   []int32   // timed activities with undeclared input read-sets
-	scanInst    []int32   // instantaneous activities with undeclared input read-sets
-	timed       []int32   // all timed activities, creation order
-	instants    []int32   // all instantaneous activities, creation order
+	timedRows rows    // place → timed activities whose input gate reads it or that reactivate on it
+	instRows  rows    // place → instantaneous activities whose input gate reads it
+	scanTimed bitset  // timed activities with undeclared input read-sets (nil: none)
+	scanInst  bitset  // instantaneous activities with undeclared input read-sets (nil: none)
+	timed     []int32 // all timed activities, creation order
+	instants  []int32 // all instantaneous activities, creation order
+
+	compiled bitset // activities whose input gate is an AllOf, compiled to their gates row
+	gates    rows   // activity → the places its input gate reads
+	reactive bitset // activities with a ReactivateOn list
+	reacts   rows   // activity → its ReactivateOn places
 }
 
 // NewModel returns an empty model.
@@ -193,35 +209,6 @@ func (mod *Model) Activities() []*Activity {
 	return out
 }
 
-// DependentsOf returns the activities whose declared input read-sets
-// include p, in creation order — the activities whose enabling can change
-// when p's token count does (undeclared activities excluded; see
-// UndeclaredInputs). For structural tests and tooling.
-func (mod *Model) DependentsOf(p *Place) []*Activity {
-	var out []*Activity
-	for _, a := range mod.activities {
-		for _, r := range a.Input.Reads {
-			if r == p {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// UndeclaredInputs returns the activities with no declared input read-set,
-// which the simulator conservatively re-evaluates after every firing.
-func (mod *Model) UndeclaredInputs() []*Activity {
-	var out []*Activity
-	for _, a := range mod.activities {
-		if len(a.Input.Reads) == 0 {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // AddTimed registers a timed activity.
 func (mod *Model) AddTimed(a Activity) *Activity {
 	a.Kind = Timed
@@ -251,15 +238,22 @@ func (mod *Model) owns(p *Place) bool {
 // Validate checks structural well-formedness — every activity has a name,
 // an enabling predicate, a firing effect, and (if timed) a delay function;
 // gate read-sets and reactivation places belong to this model; only timed
-// activities reactivate — and builds the place→activity dependency index
-// used by the incremental scheduler. Duplicate ReactivateOn entries are
-// deduped. Validate is idempotent; NewSimulator calls it.
+// activities reactivate — and compiles the dependency index, the AllOf
+// gate masks and the reactivation masks used by the incremental scheduler.
+// Duplicate ReactivateOn entries collapse into one mask bit. Validate is
+// idempotent; NewSimulator calls it.
 func (mod *Model) Validate() error {
 	seen := make(map[string]bool, len(mod.activities))
+	nPlaces, nActs := len(mod.places), len(mod.activities)
 	deps := &depIndex{
-		enableTimed: make([][]int32, len(mod.places)),
-		enableInst:  make([][]int32, len(mod.places)),
-		react:       make([][]int32, len(mod.places)),
+		timedRows: newRows(nPlaces, nActs),
+		instRows:  newRows(nPlaces, nActs),
+		scanTimed: newBitset(nActs),
+		scanInst:  newBitset(nActs),
+		compiled:  newBitset(nActs),
+		gates:     newRows(nActs, nPlaces),
+		reactive:  newBitset(nActs),
+		reacts:    newRows(nActs, nPlaces),
 	}
 	for _, a := range mod.activities {
 		switch {
@@ -279,51 +273,50 @@ func (mod *Model) Validate() error {
 			return fmt.Errorf("model %s: instantaneous activity %q has ReactivateOn (no sampled delay to resample)", mod.Name, a.Name)
 		}
 		seen[a.Name] = true
-		ai := int32(a.index)
+		enable := deps.instRows
+		if a.Kind == Timed {
+			enable = deps.timedRows
+		}
 		for _, p := range a.Input.Reads {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q input gate reads foreign place %q", mod.Name, a.Name, p.Name)
 			}
-			if a.Kind == Timed {
-				deps.enableTimed[p.index] = append(deps.enableTimed[p.index], ai)
-			} else {
-				deps.enableInst[p.index] = append(deps.enableInst[p.index], ai)
-			}
+			enable.row(p.index).set(a.index)
+			deps.gates.row(a.index).set(p.index)
+		}
+		if a.Input.allOf {
+			deps.compiled.set(a.index)
 		}
 		for _, p := range a.Output.Reads {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q output gate reads foreign place %q", mod.Name, a.Name, p.Name)
 			}
 		}
-		a.reactivate = a.reactivate[:0]
 		for _, p := range a.ReactivateOn {
 			if !mod.owns(p) {
 				return fmt.Errorf("model %s: activity %q reactivates on foreign place %q", mod.Name, a.Name, p.Name)
 			}
-			dup := false
-			for _, idx := range a.reactivate {
-				if idx == int32(p.index) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			a.reactivate = append(a.reactivate, int32(p.index))
-			deps.react[p.index] = append(deps.react[p.index], ai)
+			deps.reacts.row(a.index).set(p.index)
+			deps.timedRows.row(p.index).set(a.index)
+			deps.reactive.set(a.index)
 		}
 		if a.Kind == Timed {
-			deps.timed = append(deps.timed, ai)
+			deps.timed = append(deps.timed, int32(a.index))
 			if len(a.Input.Reads) == 0 {
-				deps.scanTimed = append(deps.scanTimed, ai)
+				deps.scanTimed.set(a.index)
 			}
 		} else {
-			deps.instants = append(deps.instants, ai)
+			deps.instants = append(deps.instants, int32(a.index))
 			if len(a.Input.Reads) == 0 {
-				deps.scanInst = append(deps.scanInst, ai)
+				deps.scanInst.set(a.index)
 			}
 		}
+	}
+	if deps.scanTimed.empty() {
+		deps.scanTimed = nil
+	}
+	if deps.scanInst.empty() {
+		deps.scanInst = nil
 	}
 	mod.deps = deps
 	return nil

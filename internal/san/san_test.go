@@ -113,7 +113,8 @@ func TestValidateCatchesBrokenActivities(t *testing.T) {
 }
 
 // TestValidateDedupesReactivateOn: a place listed twice in ReactivateOn is
-// indexed once (the duplicate is harmless, so it is deduped, not rejected).
+// one bit of the compiled reactivation mask (the duplicate is harmless, so
+// it is deduped, not rejected).
 func TestValidateDedupesReactivateOn(t *testing.T) {
 	m := NewModel("dedupe")
 	p := m.Place("p", 1)
@@ -127,20 +128,25 @@ func TestValidateDedupesReactivateOn(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.reactivate) != 1 || a.reactivate[0] != int32(mode.index) {
-		t.Fatalf("reactivate = %v, want single entry for %q", a.reactivate, mode.Name)
+	if r := m.deps.reacts.row(a.index); r.count() != 1 || !r.has(mode.index) {
+		t.Fatalf("reactivation row = %b, want single bit for %q", r, mode.Name)
+	}
+	if row := m.deps.timedRows.row(mode.index); row.count() != 1 || !row.has(a.index) {
+		t.Fatalf("watcher row of %q = %b, want just %q", mode.Name, row, a.Name)
 	}
 	// Validate is idempotent: a second pass must not re-duplicate.
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.reactivate) != 1 {
-		t.Fatalf("second Validate changed reactivate: %v", a.reactivate)
+	if r := m.deps.reacts.row(a.index); r.count() != 1 {
+		t.Fatalf("second Validate changed the reactivation row: %b", r)
 	}
 }
 
-// TestDependencyIndex checks the declarative read-sets feed the
-// place→activity introspection helpers.
+// TestDependencyIndex checks the declarative read-sets compile into the
+// place→activity watcher rows: a declared reader sits in its place's row,
+// an undeclared gate sits in no row but in the rescan set, and only the
+// AllOf gate compiles to a place mask.
 func TestDependencyIndex(t *testing.T) {
 	m := NewModel("deps")
 	a := m.Place("a", 1)
@@ -159,14 +165,26 @@ func TestDependencyIndex(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if deps := m.DependentsOf(a); len(deps) != 1 || deps[0] != ab {
-		t.Fatalf("DependentsOf(a) = %v", deps)
+	deps := m.deps
+	if row := deps.timedRows.row(a.index); row.count() != 1 || !row.has(ab.index) {
+		t.Fatalf("watchers of a = %b, want just ab", row)
 	}
-	if deps := m.DependentsOf(b); len(deps) != 0 {
-		t.Fatalf("DependentsOf(b) = %v, want none (opaque is undeclared)", deps)
+	if row := deps.timedRows.row(b.index); !row.empty() {
+		t.Fatalf("watchers of b = %b, want none (opaque is undeclared)", row)
 	}
-	if und := m.UndeclaredInputs(); len(und) != 1 || und[0] != opaque {
-		t.Fatalf("UndeclaredInputs() = %v", und)
+	for _, p := range []*Place{a, b} {
+		if row := deps.instRows.row(p.index); !row.empty() {
+			t.Fatalf("instantaneous watchers of %q = %b, want none", p.Name, row)
+		}
+	}
+	if deps.scanTimed.count() != 1 || !deps.scanTimed.has(opaque.index) || !deps.scanInst.empty() {
+		t.Fatalf("undeclared sets = %b / %b, want just opaque", deps.scanTimed, deps.scanInst)
+	}
+	if g := deps.gates.row(ab.index); !deps.compiled.has(ab.index) || g.count() != 1 || !g.has(a.index) {
+		t.Fatalf("ab gate = %b (compiled %v), want the mask {a}", g, deps.compiled.has(ab.index))
+	}
+	if deps.compiled.has(opaque.index) {
+		t.Fatal("opaque's undeclared gate compiled to a mask")
 	}
 }
 
@@ -380,6 +398,57 @@ func TestReactivationResamples(t *testing.T) {
 		Output:       Out(func(mk *Marking) { mk.Move(run, out) }),
 		ReactivateOn: []*Place{mode},
 	})
+	sim, err := NewSimulator(m, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobAt float64 = -1
+	sim.SetTrace(func(tm float64, a *Activity, mk *Marking) {
+		if a.Name == "job" {
+			jobAt = tm
+		}
+	})
+	sim.RunUntil(50)
+	if math.Abs(jobAt-3) > 1e-9 {
+		t.Fatalf("job fired at %v, want 3 (reactivated)", jobAt)
+	}
+}
+
+// TestReactivationAcrossWords repeats the reactivation check with the
+// mode place pushed past the first 64-bit word and a ReactivateOn list
+// whose places sit in two different words: a change in either word must
+// resample.
+func TestReactivationAcrossWords(t *testing.T) {
+	m := NewModel("react-wide")
+	var pads []*Place
+	for i := 0; i < 70; i++ {
+		pads = append(pads, m.Place(fmt.Sprintf("pad%d", i), 0))
+	}
+	mode := m.Place("mode", 0)
+	run := m.Place("run", 1)
+	out := m.Place("out", 0)
+	flip := m.Place("flip", 1)
+	m.AddTimed(Activity{
+		Name:   "flip_mode",
+		Input:  AllOf(flip),
+		Delay:  fixed(1),
+		Output: Out(func(mk *Marking) { mk.Clear(flip); mk.Set(mode, 1) }),
+	})
+	m.AddTimed(Activity{
+		Name:  "job",
+		Input: AllOf(run),
+		Delay: func(mk *Marking, _ rng.Source) float64 {
+			if mk.Has(mode) {
+				return 2
+			}
+			return 100
+		},
+		Output:       Out(func(mk *Marking) { mk.Move(run, out) }),
+		ReactivateOn: []*Place{pads[3], mode},
+	})
+	if mode.index < 64 || pads[3].index >= 64 {
+		t.Fatalf("places not split across words: pad %d, mode %d", pads[3].index, mode.index)
+	}
 	sim, err := NewSimulator(m, rng.New(7))
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package san
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"repro/internal/des"
@@ -12,23 +12,26 @@ import (
 )
 
 // Marking is the read/write view of the net's state passed to predicates
-// and effects. Besides the token counts it keeps two change records that
+// and effects. Besides the token counts it keeps three place bitsets that
 // drive the incremental scheduler:
 //
-//   - log: every value change since the last settle, in change order and
-//     without dedup — consumed per-firing (instantaneous enabling, rate
-//     reward refresh);
-//   - dirty + stamp/gen: the deduped set of places changed since the last
-//     settle — consumed once per settle (timed reconciliation,
-//     reactivation). A generation counter replaces the old per-firing
-//     map[int]bool, so clearing is O(1) with no map churn.
+//   - dirty: places changed since the last settle — consumed once per
+//     settle (timed reconciliation, reactivation);
+//   - fresh: places changed since the instantaneous-enabling cache last
+//     absorbed them, which in incremental mode is the last firing's
+//     changes — consumed after every firing (rate-reward refresh,
+//     instantaneous enabling);
+//   - full: places holding at least one token — what compiled AllOf gates
+//     and occupancy rewards are tested against.
+//
+// Set is small enough to inline into gate effects, and Move inlines both of
+// its Sets; their panic paths format out of line for that reason. Every
+// settle ends by emptying dirty and fresh.
 type Marking struct {
 	tokens []int
-	stamp  []uint64 // generation when the place last changed
-	gen    uint64   // current generation; stamp[i] == gen ⇔ i is dirty
-	dirty  []int32  // places changed this generation, deduped
-	log    []int32  // every change this generation, in order, with repeats
-	model  *Model
+	dirty  bitset
+	fresh  bitset
+	full   bitset
 }
 
 // Get returns the number of tokens in p.
@@ -41,45 +44,61 @@ func (m *Marking) Has(p *Place) bool { return m.tokens[p.index] > 0 }
 // indicate a broken gate function.
 func (m *Marking) Set(p *Place, n int) {
 	if n < 0 {
-		panic(fmt.Sprintf("san: place %q set to negative count %d", p.Name, n))
+		panic(markingError{place: p, n: n})
 	}
-	if m.tokens[p.index] == n {
+	i := p.index
+	if m.tokens[i] == n {
 		return
 	}
-	m.tokens[p.index] = n
-	idx := int32(p.index)
-	if m.stamp[p.index] != m.gen {
-		m.stamp[p.index] = m.gen
-		m.dirty = append(m.dirty, idx)
+	m.tokens[i] = n
+	w, bit := i>>6, uint64(1)<<(i&63)
+	m.dirty[w] |= bit
+	m.fresh[w] |= bit
+	if n > 0 {
+		m.full[w] |= bit
+	} else {
+		m.full[w] &^= bit
 	}
-	m.log = append(m.log, idx)
 }
 
 // Add adds delta tokens to p (delta may be negative).
-func (m *Marking) Add(p *Place, delta int) { m.Set(p, m.Get(p)+delta) }
+func (m *Marking) Add(p *Place, delta int) { m.Set(p, m.tokens[p.index]+delta) }
 
 // Move transfers one token from src to dst; it panics when src is empty,
 // because moving a non-existent token is a structural modeling error.
 func (m *Marking) Move(src, dst *Place) {
-	if m.Get(src) < 1 {
-		panic(fmt.Sprintf("san: move from empty place %q", src.Name))
+	n := m.tokens[src.index]
+	if n < 1 {
+		panic(markingError{place: src, move: true})
 	}
-	m.Add(src, -1)
-	m.Add(dst, 1)
+	m.Set(src, n-1)
+	m.Set(dst, m.tokens[dst.index]+1)
 }
 
 // Clear removes all tokens from p.
 func (m *Marking) Clear(p *Place) { m.Set(p, 0) }
 
-// clearDirty closes the current change generation: O(1), no allocation.
-func (m *Marking) clearDirty() {
-	m.gen++
-	m.dirty = m.dirty[:0]
-	m.log = m.log[:0]
+// markingError is the panic value of a broken gate function: a negative
+// count n written to place, or a move out of the empty place. Its message
+// is formatted only when printed, which keeps Set inlinable.
+type markingError struct {
+	place *Place
+	n     int
+	move  bool
 }
 
-// dirtyNow reports whether place index pi changed in the open generation.
-func (m *Marking) dirtyNow(pi int32) bool { return m.stamp[pi] == m.gen }
+func (e markingError) Error() string {
+	if e.move {
+		return fmt.Sprintf("san: move from empty place %q", e.place.Name)
+	}
+	return fmt.Sprintf("san: place %q set to negative count %d", e.place.Name, e.n)
+}
+
+// clearChanges closes the settle's change sets.
+func (m *Marking) clearChanges() {
+	m.dirty.reset()
+	m.fresh.reset()
+}
 
 // RateReward integrates a marking-dependent rate over simulated time, the
 // SAN analogue of accumulated reward (the paper's useful-work measure is
@@ -132,37 +151,38 @@ type Invariant struct {
 //
 // By default the simulator schedules incrementally: after each firing only
 // the activities and rate rewards whose declared read places changed are
-// reconciled, found through the model's dependency index. The FullScan
-// option restores the historic O(places + activities) rescan of the whole
-// net after every firing; both schedulers produce bit-identical
-// trajectories when all read-sets are declared correctly, which the
-// differential tests assert.
+// reconciled, found through the model's compiled dependency index, and
+// AllOf gates and occupancy rewards are evaluated as place masks. The
+// FullScan option restores the historic O(places + activities) rescan of
+// the whole net after every firing, calling every gate and rate closure;
+// both schedulers produce bit-identical trajectories when all read-sets
+// are declared correctly, which the differential tests assert.
 type Simulator struct {
 	model *Model
+	deps  *depIndex   // the model's compiled index
+	acts  []*Activity // the model's activities, by index
 	src   rng.Source
 	eng   *des.Engine
 
 	marking   *Marking
 	scheduled []des.Handle        // per-activity pending event (zero when disabled)
-	enabled   []bool              // timed activities: scheduled at last reconcile
-	instOn    []bool              // instantaneous activities: cached input-gate truth
+	enabled   bitset              // timed activities: scheduled at last reconcile
+	instOn    bitset              // instantaneous activities: cached input-gate truth
 	handlers  []func(*des.Engine) // per-activity firing handlers, built once
 
 	rates     []*RateReward
-	rateWatch [][]int32 // place index → rate rewards whose declared reads include it
-	rateScan  []int32   // rate rewards with undeclared read-sets
-	rateMark  []uint64  // per-reward dedup stamps for one refresh pass
-	rateGen   uint64
+	occupancy []bitset // per rate reward: the places of an occupancy reward (nil: call Rate)
+	rateRows  rows     // place → rate rewards whose declared reads include it
+	rateScan  bitset   // rate rewards with undeclared read-sets (nil: none)
 
 	impulses [][]*ImpulseHook // per-activity impulse hooks
 
-	// Scratch state for the affected-activity closure of one settle.
-	actMark  []uint64 // per-activity dedup stamps
-	actGen   uint64
-	affected []int32
+	// Per-pass closures. Each is empty between passes: the pass that
+	// fills one takes its words back to zero as it walks them.
+	actSet  bitset // activities to re-evaluate
+	rateSet bitset // rate rewards to refresh
 
-	instCursor int // prefix of marking.log already absorbed into instOn
-	firedAct   int // timed activity whose event fired this settle (-1: none)
+	firedAct int // timed activity whose event fired this settle (-1: none)
 
 	trace      TraceFunc
 	hooks      []TraceFunc
@@ -259,7 +279,7 @@ func (s *Simulator) PoolStats() (hits, misses uint64, size int) {
 	return s.eng.PoolHits(), s.eng.PoolMisses(), s.eng.PoolSize()
 }
 
-// NewSimulator validates the model (building its dependency index) and
+// NewSimulator validates the model (compiling its dependency index) and
 // prepares an executor with the given random source.
 func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 	if err := model.Validate(); err != nil {
@@ -267,10 +287,12 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 	}
 	s := &Simulator{
 		model:           model,
+		deps:            model.deps,
+		acts:            model.activities,
 		src:             src,
-		rateWatch:       make([][]int32, len(model.places)),
+		rateRows:        newRows(len(model.places), 0),
 		impulses:        make([][]*ImpulseHook, len(model.activities)),
-		actMark:         make([]uint64, len(model.activities)),
+		actSet:          newBitset(len(model.activities)),
 		firedAct:        -1,
 		MaxInstantChain: 10000,
 	}
@@ -282,7 +304,7 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 		a := a
 		s.handlers[a.index] = func(*des.Engine) {
 			s.scheduled[a.index] = des.Handle{}
-			s.enabled[a.index] = false
+			s.enabled.unset(a.index)
 			s.firedAct = a.index
 			s.fire(a)
 			s.settle()
@@ -301,43 +323,40 @@ func NewSimulator(model *Model, src rng.Source) (*Simulator, error) {
 // reused, so a reset trajectory reaches steady state without allocating.
 // Trajectories on a reset simulator are bit-identical to ones on a freshly
 // built simulator fed the same random stream: the engine restarts its FIFO
-// sequence numbers, every place starts dirty so the initial settle
-// reconciles in creation order, and the dedup generations (marking.gen,
-// actGen, rateGen) only ever need to be distinct, not equal.
+// sequence numbers, and every place starts dirty so the initial settle
+// reconciles in creation order.
 func (s *Simulator) Reset() {
 	n := len(s.model.places)
 	nActs := len(s.model.activities)
 	if s.marking == nil { // first construction
-		s.marking = &Marking{tokens: make([]int, n), stamp: make([]uint64, n), model: s.model}
+		s.marking = &Marking{
+			tokens: make([]int, n),
+			dirty:  newBitset(n),
+			fresh:  newBitset(n),
+			full:   newBitset(n),
+		}
 		s.eng = des.New()
 		s.scheduled = make([]des.Handle, nActs)
-		s.enabled = make([]bool, nActs)
-		s.instOn = make([]bool, nActs)
+		s.enabled = newBitset(nActs)
+		s.instOn = newBitset(nActs)
 	} else {
 		s.eng.Reset()
-		for i := range s.scheduled {
-			s.scheduled[i] = des.Handle{}
-		}
-		for i := range s.enabled {
-			s.enabled[i] = false
-		}
-		for i := range s.instOn {
-			s.instOn[i] = false
-		}
+		clear(s.scheduled)
+		s.enabled.reset()
+		s.instOn.reset()
 	}
 	m := s.marking
-	m.gen++
-	m.dirty = m.dirty[:0]
-	m.log = m.log[:0]
+	m.full.reset()
 	// Every place starts dirty so the first settle performs the initial
 	// reconciliation through the same incremental path as any other.
 	for _, p := range s.model.places {
 		m.tokens[p.index] = p.Initial
-		m.stamp[p.index] = m.gen
-		m.dirty = append(m.dirty, int32(p.index))
-		m.log = append(m.log, int32(p.index))
+		m.dirty.set(p.index)
+		m.fresh.set(p.index)
+		if p.Initial > 0 {
+			m.full.set(p.index)
+		}
 	}
-	s.instCursor = 0
 	s.firedAct = -1
 	for _, hooks := range s.impulses {
 		for _, h := range hooks {
@@ -403,22 +422,51 @@ func (s *Simulator) AddInvariant(name string, check func(m *Marking) error) {
 // those places changes. Omitting reads is always correct but re-evaluates
 // the rate after every firing.
 func (s *Simulator) AddRateReward(name string, rate func(m *Marking) float64, reads ...*Place) *RateReward {
-	r := &RateReward{Name: name, Rate: rate}
-	r.lastRate = rate(s.marking)
-	r.lastTime = s.eng.Now()
-	ri := int32(len(s.rates))
-	s.rates = append(s.rates, r)
-	s.rateMark = append(s.rateMark, 0)
-	if len(reads) == 0 {
-		s.rateScan = append(s.rateScan, ri)
-		return r
-	}
 	for _, p := range reads {
 		if !s.model.owns(p) {
 			panic(fmt.Sprintf("san: rate reward %q reads foreign place %q", name, p.Name))
 		}
-		s.rateWatch[p.index] = append(s.rateWatch[p.index], ri)
 	}
+	r := &RateReward{Name: name, Rate: rate}
+	r.lastRate = rate(s.marking)
+	r.lastTime = s.eng.Now()
+	ri := len(s.rates)
+	s.rates = append(s.rates, r)
+	s.occupancy = append(s.occupancy, nil)
+	s.rateRows.growCols(len(s.model.places), len(s.rates))
+	if wordsFor(len(s.rates)) > len(s.rateSet) {
+		s.rateSet = append(s.rateSet, 0)
+	}
+	if len(reads) == 0 {
+		for len(s.rateScan) < len(s.rateSet) {
+			s.rateScan = append(s.rateScan, 0)
+		}
+		s.rateScan.set(ri)
+	}
+	for _, p := range reads {
+		s.rateRows.row(p.index).set(ri)
+	}
+	return r
+}
+
+// AddOccupancyReward registers the occupancy indicator of a state: a rate
+// reward whose rate is 1 exactly when every listed place holds at least
+// one token, and 0 otherwise. The incremental scheduler tests it as a
+// place mask against the marking; the full scan calls the equivalent
+// closure, so the differential tests check one against the other.
+func (s *Simulator) AddOccupancyReward(name string, places ...*Place) *RateReward {
+	has := allHave(append([]*Place(nil), places...))
+	r := s.AddRateReward(name, func(m *Marking) float64 {
+		if has(m) {
+			return 1
+		}
+		return 0
+	}, places...)
+	occ := newBitset(len(s.model.places))
+	for _, p := range places {
+		occ.set(p.index)
+	}
+	s.occupancy[len(s.rates)-1] = occ
 	return r
 }
 
@@ -469,8 +517,7 @@ func (s *Simulator) settle() {
 		s.reconcileTimedDirty()
 	}
 	s.firedAct = -1
-	s.instCursor = 0
-	s.marking.clearDirty()
+	s.marking.clearChanges()
 	if st := s.stats; st != nil {
 		st.settles.Inc()
 		if st.sampleTick&statsSampleMask == 0 {
@@ -480,18 +527,41 @@ func (s *Simulator) settle() {
 	}
 }
 
+// gatesOn evaluates the input gates of the activities in x, word w of an
+// activity bitset, and returns the ones that hold: a compiled AllOf gate
+// is a mask test against the non-empty places, any other gate calls its
+// predicate. Gates are pure, so a caller may evaluate a whole word before
+// acting on any of it.
+func (s *Simulator) gatesOn(w int, x uint64) uint64 {
+	var on uint64
+	deps, full := s.deps, s.marking.full
+	compiled := deps.compiled[w]
+	for ; x != 0; x &= x - 1 {
+		tz := bits.TrailingZeros64(x)
+		bit, ai := uint64(1)<<tz, w<<6|tz
+		if compiled&bit != 0 {
+			if deps.gates.rowWithin(ai, full) {
+				on |= bit
+			}
+		} else if s.acts[ai].Input.Cond(s.marking) {
+			on |= bit
+		}
+	}
+	return on
+}
+
 // nextInstantFull scans every instantaneous activity, refreshing the
 // enabling cache as it goes, and returns the highest-priority enabled one
 // (ties break by creation order for determinism), or nil.
 func (s *Simulator) nextInstantFull() *Activity {
 	var best *Activity
-	for _, ai := range s.model.deps.instants {
-		a := s.model.activities[ai]
-		on := a.Input.Cond(s.marking)
-		s.instOn[ai] = on
-		if !on {
+	for _, ai := range s.deps.instants {
+		a := s.acts[ai]
+		if !a.Input.Cond(s.marking) {
+			s.instOn.unset(int(ai))
 			continue
 		}
+		s.instOn.set(int(ai))
 		if best == nil || a.Priority > best.Priority {
 			best = a
 		}
@@ -503,39 +573,40 @@ func (s *Simulator) nextInstantFull() *Activity {
 // declared reads include a place changed since the last absorption, plus
 // the undeclared ones, updating the enabling cache.
 func (s *Simulator) absorbInstantDirt() {
-	m := s.marking
-	if s.instCursor == len(m.log) {
+	m, deps := s.marking, s.deps
+	if len(deps.instants) == 0 {
 		return
 	}
-	deps := s.model.deps
-	s.actGen++
-	for _, pi := range m.log[s.instCursor:] {
-		for _, ai := range deps.enableInst[pi] {
-			if s.actMark[ai] == s.actGen {
-				continue
-			}
-			s.actMark[ai] = s.actGen
-			s.instOn[ai] = s.model.activities[ai].Input.Cond(m)
+	c := s.actSet
+	if !deps.instRows.orRows(c, m.fresh) {
+		return
+	}
+	c.or(deps.scanInst)
+	for w, x := range c {
+		if x != 0 {
+			c[w] = 0
+			s.instOn[w] = s.instOn[w]&^x | s.gatesOn(w, x)
 		}
 	}
-	for _, ai := range deps.scanInst {
-		s.instOn[ai] = s.model.activities[ai].Input.Cond(m)
-	}
-	s.instCursor = len(m.log)
+	m.fresh.reset()
 }
 
 // nextInstantCached picks the highest-priority enabled instantaneous
-// activity from the cache maintained by absorbInstantDirt. Creation-order
-// iteration preserves the full scan's tie-breaking exactly.
+// activity from the cache maintained by absorbInstantDirt. Walking the
+// cache in ascending index order preserves the full scan's creation-order
+// tie-breaking exactly.
 func (s *Simulator) nextInstantCached() *Activity {
 	var best *Activity
-	for _, ai := range s.model.deps.instants {
-		if !s.instOn[ai] {
-			continue
-		}
-		a := s.model.activities[ai]
-		if best == nil || a.Priority > best.Priority {
-			best = a
+	if len(s.deps.instants) == 0 {
+		return nil
+	}
+	for w, x := range s.instOn {
+		for x != 0 {
+			a := s.acts[w<<6|bits.TrailingZeros64(x)]
+			x &= x - 1
+			if best == nil || a.Priority > best.Priority {
+				best = a
+			}
 		}
 	}
 	return best
@@ -546,88 +617,64 @@ func (s *Simulator) nextInstantCached() *Activity {
 // changed — scanning every timed activity (the historic scheduler).
 func (s *Simulator) reconcileTimedFull() {
 	if st := s.stats; st != nil && st.sampleTick&statsSampleMask == 0 {
-		st.closureFull.Observe(float64(len(s.model.deps.timed)))
+		st.closureFull.Observe(float64(len(s.deps.timed)))
 	}
-	for _, ai := range s.model.deps.timed {
-		s.reconcileOne(s.model.activities[ai])
+	for _, ai := range s.deps.timed {
+		s.reconcileOne(int(ai), s.acts[ai].Input.Cond(s.marking))
 	}
 }
 
 // reconcileTimedDirty reconciles only the timed activities in the dirty
-// closure: watchers of changed places (enabling or reactivation),
-// undeclared activities, and the activity that fired. Processing in
-// creation order keeps delay-sampling order — and therefore the random
-// stream — identical to the full scan.
+// closure: the OR of the changed places' watcher rows (enabling or
+// reactivation), the undeclared activities, and the activity that fired.
+// Walking the closure in ascending index order is creation order, which
+// keeps delay-sampling order — and therefore the random stream — identical
+// to the full scan.
 func (s *Simulator) reconcileTimedDirty() {
-	m := s.marking
-	deps := s.model.deps
-	s.actGen++
-	s.affected = s.affected[:0]
+	deps := s.deps
+	c := s.actSet
 	if fa := s.firedAct; fa >= 0 {
-		s.actMark[fa] = s.actGen
-		s.affected = append(s.affected, int32(fa))
+		c.set(fa)
 	}
-	for _, pi := range m.dirty {
-		for _, ai := range deps.enableTimed[pi] {
-			if s.actMark[ai] != s.actGen {
-				s.actMark[ai] = s.actGen
-				s.affected = append(s.affected, ai)
-			}
-		}
-		for _, ai := range deps.react[pi] {
-			if s.actMark[ai] != s.actGen {
-				s.actMark[ai] = s.actGen
-				s.affected = append(s.affected, ai)
-			}
-		}
+	if deps.timedRows.orRows(c, s.marking.dirty) {
+		c.or(deps.scanTimed)
 	}
-	if len(m.dirty) > 0 {
-		for _, ai := range deps.scanTimed {
-			if s.actMark[ai] != s.actGen {
-				s.actMark[ai] = s.actGen
-				s.affected = append(s.affected, ai)
-			}
-		}
-	}
-	slices.Sort(s.affected)
 	if st := s.stats; st != nil && st.sampleTick&statsSampleMask == 0 {
-		st.closureInc.Observe(float64(len(s.affected)))
+		st.closureInc.Observe(float64(c.count()))
 	}
-	for _, ai := range s.affected {
-		s.reconcileOne(s.model.activities[ai])
+	for w, x := range c {
+		if x == 0 {
+			continue
+		}
+		c[w] = 0
+		// Only activities whose gate changed, or that stay enabled and
+		// may reactivate, have anything to do.
+		on, was := s.gatesOn(w, x), s.enabled[w]
+		for act := x & (on ^ was | on&was&deps.reactive[w]); act != 0; act &= act - 1 {
+			tz := bits.TrailingZeros64(act)
+			s.reconcileOne(w<<6|tz, on&(1<<tz) != 0)
+		}
 	}
 }
 
-// reconcileOne applies the schedule/cancel/resample decision for one timed
-// activity against the current marking.
-func (s *Simulator) reconcileOne(a *Activity) {
-	on := a.Input.Cond(s.marking)
-	was := s.enabled[a.index]
+// reconcileOne applies the schedule/cancel/resample decision for timed
+// activity ai, whose input gate currently evaluates to on.
+func (s *Simulator) reconcileOne(ai int, on bool) {
+	was := s.enabled.has(ai)
 	switch {
 	case on && !was:
-		s.schedule(a)
+		s.schedule(s.acts[ai])
 	case !on && was:
-		s.eng.Cancel(s.scheduled[a.index])
-		s.scheduled[a.index] = des.Handle{}
-		s.enabled[a.index] = false
-	case on && was && s.touched(a):
-		s.eng.Cancel(s.scheduled[a.index])
-		s.schedule(a)
+		s.eng.Cancel(s.scheduled[ai])
+		s.scheduled[ai] = des.Handle{}
+		s.enabled.unset(ai)
+	case on && was && s.deps.reacts.rowMeets(ai, s.marking.dirty):
+		s.eng.Cancel(s.scheduled[ai])
+		s.schedule(s.acts[ai])
 		if st := s.stats; st != nil {
 			st.reactivations.Inc()
 		}
 	}
-}
-
-// touched reports whether any of the activity's reactivation places changed
-// during the current settle.
-func (s *Simulator) touched(a *Activity) bool {
-	for _, pi := range a.reactivate {
-		if s.marking.dirtyNow(pi) {
-			return true
-		}
-	}
-	return false
 }
 
 // schedule samples a delay for a and enqueues its firing.
@@ -636,7 +683,7 @@ func (s *Simulator) schedule(a *Activity) {
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("san: activity %q sampled invalid delay %v", a.Name, d))
 	}
-	s.enabled[a.index] = true
+	s.enabled.set(a.index)
 	s.scheduled[a.index] = s.eng.ScheduleAfter(d, a.Name, s.handlers[a.index])
 }
 
@@ -651,7 +698,6 @@ func (s *Simulator) fire(a *Activity) {
 		}
 	}
 	s.accrueRates(now)
-	preLog := len(s.marking.log)
 	a.Output.Apply(s.marking)
 	for _, h := range s.impulses[a.index] {
 		h.total += h.Impulse(s.marking)
@@ -660,7 +706,7 @@ func (s *Simulator) fire(a *Activity) {
 	if s.FullScan {
 		s.refreshRatesFull(now)
 	} else {
-		s.refreshRatesDirty(now, preLog)
+		s.refreshRatesDirty(now)
 	}
 	for _, inv := range s.invariants {
 		if err := inv.Check(s.marking); err != nil {
@@ -687,7 +733,8 @@ func (s *Simulator) accrueRates(t float64) {
 	}
 }
 
-// refreshRatesFull re-evaluates every rate against the post-firing marking.
+// refreshRatesFull re-evaluates every rate closure against the post-firing
+// marking.
 func (s *Simulator) refreshRatesFull(t float64) {
 	for _, r := range s.rates {
 		r.lastRate = r.Rate(s.marking)
@@ -696,30 +743,33 @@ func (s *Simulator) refreshRatesFull(t float64) {
 }
 
 // refreshRatesDirty re-evaluates only the rates whose declared reads
-// include a place changed by this firing (the marking log past from), plus
-// the undeclared ones. A skipped rate would have re-evaluated to the same
-// value, so the accrued integrals stay bit-identical to the full scan.
-func (s *Simulator) refreshRatesDirty(t float64, from int) {
-	m := s.marking
-	if len(m.log) == from {
+// include a place changed since the enabling cache last absorbed the
+// marking's changes — in incremental mode, exactly the places this firing
+// changed — plus the undeclared ones. Occupancy rewards are mask tests. A
+// skipped rate would have re-evaluated to the same value, so the accrued
+// integrals stay bit-identical to the full scan.
+func (s *Simulator) refreshRatesDirty(t float64) {
+	m, c := s.marking, s.rateSet
+	if !s.rateRows.orRows(c, m.fresh) {
 		return
 	}
-	s.rateGen++
-	for _, pi := range m.log[from:] {
-		for _, ri := range s.rateWatch[pi] {
-			if s.rateMark[ri] == s.rateGen {
-				continue
+	c.or(s.rateScan)
+	for w, x := range c {
+		c[w] = 0
+		for x != 0 {
+			ri := w<<6 | bits.TrailingZeros64(x)
+			x &= x - 1
+			r, occ := s.rates[ri], s.occupancy[ri]
+			switch {
+			case occ == nil:
+				r.lastRate = r.Rate(m)
+			case m.full.containsAll(occ):
+				r.lastRate = 1
+			default:
+				r.lastRate = 0
 			}
-			s.rateMark[ri] = s.rateGen
-			r := s.rates[ri]
-			r.lastRate = r.Rate(m)
 			r.lastTime = t
 		}
-	}
-	for _, ri := range s.rateScan {
-		r := s.rates[ri]
-		r.lastRate = r.Rate(m)
-		r.lastTime = t
 	}
 }
 
