@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke figures figures-paper report examples clean
+.PHONY: all build test vet race bench bench-smoke bench-trend cover ci validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke fuzz-smoke size figures figures-paper report examples clean
 
 all: build vet test
 
@@ -130,11 +130,41 @@ vr-smoke:
 	$(GO) test -run NONE -bench 'VRSmoke$$' -benchtime=1x . | $(GO) run ./cmd/ccbench record -history BENCH_HISTORY.jsonl -o BENCH_VR.json
 	$(GO) run ./cmd/ccbench compare -history BENCH_HISTORY.jsonl -metric replications_to_halfwidth -warn-only
 
+# The Go files counted by fuzz-smoke and size: everything outside hidden
+# directories (build caches such as .bench_build/) and perfbench/.
+GO_FILES = find . -path './.*' -prune -o -path ./perfbench -prune -o -name '*.go'
+
+# Parser-robustness gate: every native fuzz target (func FuzzXxx in a
+# _test.go file) fuzzed for 10 s, one target per go test run as -fuzz
+# requires. Plain `go test` already replays each target's seed corpus.
+fuzz-smoke:
+	@$(GO_FILES) -name '*_test.go' -print | xargs grep -o '^func Fuzz[A-Za-z0-9_]*' | \
+	while IFS=: read -r file decl; do \
+		name=$${decl#func }; dir=$$(dirname $$file); \
+		echo "fuzz-smoke: $$name ($$dir)"; \
+		$(GO) test -run NONE -fuzz "^$$name\$$" -fuzztime=10s "$$dir" || exit 1; \
+	done
+
+# The size counts a simplicity change reports before and after, defined
+# once here:
+#   non-test LOC      lines of non-test .go files outside perfbench/
+#   test LOC          lines of _test.go files outside perfbench/
+#   exported API      exported top-level functions plus methods declared
+#                     in non-test files under internal/
+#   CLI flags         "  -flag" lines across every binary's pinned -h
+#                     output (internal/cli/testdata/usage/*.txt)
+size:
+	@echo "non-test LOC: $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test LOC:     $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "exported API: $$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]' | wc -l)"
+	@echo "CLI flags:    $$(cat internal/cli/testdata/usage/*.txt | grep -c '^  -')"
+
 # Everything the GitHub Actions workflow runs (.github/workflows/ci.yml),
 # locally: the tier-1 suite, the race tier, the coverage profile, the
 # scenario-catalog gate, the sweep crash-resume gate, the fleet telemetry
-# gate, the provenance/sentinel gate, and the variance-reduction gate.
-ci: all race cover validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke
+# gate, the provenance/sentinel gate, the variance-reduction gate, and the
+# fuzz smoke.
+ci: all race cover validate-scenarios sweep-resume-smoke obs-smoke provenance-smoke vr-smoke fuzz-smoke
 
 # Regenerate every paper figure (quick scale) into results/.
 figures:

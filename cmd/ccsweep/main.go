@@ -52,7 +52,6 @@ import (
 	"repro/internal/cyclesim"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/stats"
 	"repro/internal/vr"
 )
 
@@ -148,10 +147,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if mode == vr.ModeAntithetic && *reps%2 == 1 {
-		// Pairs need an even count; complete the last pair like ccsim does.
-		*reps++
-	}
 
 	base, err := cli.Base(scenarios, "", *scenarioName)
 	if err != nil {
@@ -184,18 +179,19 @@ func run(args []string) error {
 	}
 
 	// The sweep is a grid plan whether it runs here or in detached workers:
-	// one cell per row, seeds pre-assigned by the planner. Monolithic mode
-	// is simply "plan, claim everything, reduce" inside this process.
+	// one cell per row, seeds pre-assigned by the planner. Cells inherit
+	// -reps from opts, which PlanGrid rounds up to whole pairs under -vr
+	// antithetic. Monolithic mode is simply "plan, claim everything,
+	// reduce" inside this process.
 	cells := make([]blocks.Cell, len(vals))
 	for i, v := range vals {
 		cfg := base
 		apply(&cfg, v)
 		cells[i] = blocks.Cell{
-			Label:        fmt.Sprintf("%s=%g", *param, v),
-			X:            v,
-			Seed:         *seed + uint64(i)*1000003,
-			Replications: *reps,
-			Config:       cfg,
+			Label:  fmt.Sprintf("%s=%g", *param, v),
+			X:      v,
+			Seed:   *seed + uint64(i)*1000003,
+			Config: cfg,
 		}
 	}
 	opts := repro.Options{
@@ -213,7 +209,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("planned %s: %d cells x %d reps = %d blocks (size %d)\n",
-			*param, len(m.Cells), *reps, len(m.Blocks), m.BlockSize)
+			*param, len(m.Cells), m.Cells[0].Replications, len(m.Blocks), m.BlockSize)
 		fmt.Printf("manifest %s\n", m.Hash)
 		fmt.Printf("run 'ccsweep -worker %s' (any number of processes), then 'ccsweep -reduce %s'\n",
 			*manifestDir, *manifestDir)
@@ -375,28 +371,13 @@ func reduceCmd(dir, journalPath string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%-16s %-24s %-24s\n", m.Name, "useful work fraction", "total useful work")
 	for _, c := range cells {
-		fmt.Fprintf(w, "%-16g %-24v %-24v\n", c.Cell.X,
-			reducedCI(c.FlatValues(), m), reducedCI(c.Totals, m))
+		frac := vr.NewEstimator(m.VR, m.Confidence)
+		frac.Add(c.FlatValues()...)
+		total := vr.NewEstimator(m.VR, m.Confidence)
+		total.Add(c.Totals...)
+		fmt.Fprintf(w, "%-16g %-24v %-24v\n", c.Cell.X, frac.Interval(), total.Interval())
 	}
 	return nil
-}
-
-// reducedCI folds one cell's per-replication values into the interval the
-// monolithic table prints: a plain CI normally, the pair-mean CI when the
-// manifest ran antithetic variance reduction.
-func reducedCI(values []float64, m *blocks.Manifest) stats.Interval {
-	if m.VR == blocks.VRAntithetic {
-		var p stats.PairedAccumulator
-		for i := 0; i+1 < len(values); i += 2 {
-			p.AddPair(values[i], values[i+1])
-		}
-		return p.CI(m.Confidence)
-	}
-	var a stats.Accumulator
-	for _, v := range values {
-		a.Add(v)
-	}
-	return a.CI(m.Confidence)
 }
 
 // setter maps a parameter name to a config mutator: the model flag of the

@@ -18,7 +18,7 @@ import (
 )
 
 // testPlan builds a small two-cell plan with a synthetic configuration.
-func testPlan(t *testing.T, blockSize int) *Manifest {
+func testPlan(t testing.TB, blockSize int) *Manifest {
 	t.Helper()
 	cfg := cluster.Default()
 	m, err := Plan([]Cell{

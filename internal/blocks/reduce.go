@@ -24,24 +24,18 @@ type CellResult struct {
 	// with ci_half_width rewritten from the block-local prefix to the
 	// cell-global prefix — exactly the value a monolithic run journals.
 	Records []Record
-	// Values holds the manifest-ValueKey series per block, in block order;
-	// stats.MergeConvergence folds them into the cell trajectory.
-	Values [][]float64
 	// Totals holds total_useful per replication when present (estimate
-	// kind), flattened across blocks in order.
+	// kind), in replication order.
 	Totals []float64
 	// Events is the cell's total simulation event count.
 	Events uint64
+
+	// values is the manifest-ValueKey series in replication order.
+	values []float64
 }
 
-// FlatValues concatenates the per-block value series.
-func (c CellResult) FlatValues() []float64 {
-	var out []float64
-	for _, blk := range c.Values {
-		out = append(out, blk...)
-	}
-	return out
-}
+// FlatValues returns the manifest-ValueKey series in replication order.
+func (c CellResult) FlatValues() []float64 { return c.values }
 
 // Replications counts the merged replication records.
 func (c CellResult) Replications() int { return len(c.Records) }
@@ -70,12 +64,10 @@ func Reduce(dir string) (*Manifest, []CellResult, error) {
 // ReduceManifest is Reduce against an already-loaded manifest.
 func ReduceManifest(dir string, m *Manifest) ([]CellResult, error) {
 	var incomplete []int
-	cells := make([]CellResult, len(m.Cells))
-	for ci := range m.Cells {
-		cells[ci] = CellResult{Index: ci, Cell: m.Cells[ci]}
-	}
+	recs := make([][]Record, len(m.Cells))
+	events := make([]uint64, len(m.Cells))
 	for _, b := range m.Blocks {
-		recs, tr, err := ReadBlockJournal(dir, m, b)
+		r, tr, err := ReadBlockJournal(dir, m, b)
 		if err != nil {
 			if errors.Is(err, ErrIncomplete) {
 				incomplete = append(incomplete, b.ID)
@@ -83,154 +75,74 @@ func ReduceManifest(dir string, m *Manifest) ([]CellResult, error) {
 			}
 			return nil, err
 		}
-		c := &cells[b.CellIndex]
-		vals := make([]float64, 0, len(recs))
-		for _, rec := range recs {
-			if v, ok := rec.Float(m.ValueKey); ok {
-				vals = append(vals, v)
-			}
-			if t, ok := rec.Float("total_useful"); ok {
-				c.Totals = append(c.Totals, t)
-			}
-			c.Records = append(c.Records, rec)
-		}
-		c.Values = append(c.Values, vals)
-		c.Events += tr.Events
+		recs[b.CellIndex] = append(recs[b.CellIndex], r...)
+		events[b.CellIndex] += tr.Events
 	}
 	if len(incomplete) > 0 {
 		return nil, fmt.Errorf("blocks: reduce: %d of %d blocks incomplete %v: %w",
 			len(incomplete), len(m.Blocks), incomplete, ErrIncomplete)
 	}
-	// Rewrite each record's ci_half_width to the cell-global prefix value.
-	// The block writers journaled a block-local prefix (all they could
-	// know); the merged journal must carry the same trajectory a monolithic
-	// run writes. The fold consumes exactly-round-tripped floats in the
-	// monolithic order, so the recomputed widths are bit-identical to the
-	// single-process run's.
+	cells := make([]CellResult, len(m.Cells))
 	for ci := range cells {
-		w := NewWidthTracker(m.Confidence, m.VR)
-		for _, rec := range cells[ci].Records {
-			if v, ok := rec.Float(m.ValueKey); ok {
-				rec.Fields["ci_half_width"] = w.Add(v)
-			}
-		}
+		cells[ci] = FoldCell(m, ci, recs[ci], events[ci])
 	}
 	return cells, nil
 }
 
-// WidthTracker computes the running ci_half_width journaled beside each
-// replication record: the plain prefix half-width or, under antithetic VR,
-// the half-width of the pair-mean estimate over the pairs completed so far
-// (0 while fewer than two pairs are in, with the record count carrying the
-// truth — the same convention stats.Convergence uses). One implementation
-// serves the monolithic journal writer, the block-local writer and the
-// reducer, which is what pins the three to identical bytes.
-type WidthTracker struct {
-	level      float64
-	paired     bool
-	acc        stats.Accumulator
-	pacc       stats.PairedAccumulator
-	pending    float64
-	hasPending bool
+// FoldCell merges one cell's replication records, in replication order,
+// into its CellResult. It rewrites each record's ci_half_width to the
+// cell-global prefix: the block writers journaled a block-local prefix (all
+// they could know), and the merged journal must carry the trajectory a
+// monolithic run writes. A monolithic run folds its own records through
+// here too, so the two journals come from one code path. The fold consumes
+// exactly-round-tripped floats in replication order, so the widths are
+// bit-identical however the cell was split into blocks.
+func FoldCell(m *Manifest, ci int, recs []Record, events uint64) CellResult {
+	c := CellResult{Index: ci, Cell: m.Cells[ci], Records: recs, Events: events}
+	c.values = stampWidths(m, recs)
+	for _, rec := range recs {
+		if t, ok := rec.Float("total_useful"); ok {
+			c.Totals = append(c.Totals, t)
+		}
+	}
+	return c
 }
 
-// NewWidthTracker builds a tracker for the given confidence level and
-// manifest VR mode.
-func NewWidthTracker(level float64, vrMode string) *WidthTracker {
-	return &WidthTracker{level: level, paired: vrMode == VRAntithetic}
+// stampWidths sets each record's ci_half_width to the prefix half-width of
+// the manifest-ValueKey values up to and including it (paired under
+// antithetic VR) and returns those values.
+func stampWidths(m *Manifest, recs []Record) []float64 {
+	est := vr.NewEstimator(m.VR, m.Confidence)
+	values := make([]float64, 0, len(recs))
+	for _, rec := range recs {
+		if v, ok := rec.Float(m.ValueKey); ok {
+			values = append(values, v)
+			est.Add(v)
+			rec.Fields["ci_half_width"] = est.HalfWidth()
+		}
+	}
+	return values
 }
 
-// Add folds one replication value (one leg, under VR) and returns the
-// half-width to journal with its record.
-func (w *WidthTracker) Add(v float64) float64 {
-	if !w.paired {
-		w.acc.Add(v)
-		return w.acc.Convergence(w.level).HalfWidth
-	}
-	if !w.hasPending {
-		w.pending = v
-		w.hasPending = true
-	} else {
-		w.pacc.AddPair(w.pending, v)
-		w.hasPending = false
-	}
-	return w.pacc.Convergence(w.level).HalfWidth
-}
-
-// EstimateFields builds the closing "estimate" record for a cell from its
-// per-block value series. runner.writeJournal and the reducer both call
-// it, which is what pins the two journal paths to one schema: replication
-// count, total events, useful-work interval, total-useful interval, and
-// the merged convergence trajectory. Under antithetic VR (vrMode ==
-// VRAntithetic) the intervals and convergence come from the pair means and
-// the record gains a "vr" block reporting the measured variance-reduction
-// factor; plain mode emits exactly the pre-VR schema, byte for byte.
-func EstimateFields(level float64, valueBlocks [][]float64, totals []float64, events uint64, label, vrMode string) map[string]any {
-	var fields map[string]any
-	n := 0
-	for _, blk := range valueBlocks {
-		n += len(blk)
-	}
-	if vrMode == VRAntithetic {
-		var frac, tot stats.PairedAccumulator
-		addPairs := func(p *stats.PairedAccumulator, legs []float64) {
-			for i := 0; i+1 < len(legs); i += 2 {
-				p.AddPair(legs[i], legs[i+1])
-			}
-		}
-		var flat []float64
-		for _, blk := range valueBlocks {
-			flat = append(flat, blk...)
-		}
-		addPairs(&frac, flat)
-		addPairs(&tot, totals)
-		fields = map[string]any{
-			"replications":    n,
-			"events":          events,
-			"useful_fraction": IntervalFields(frac.CI(level)),
-			"total_useful":    IntervalFields(tot.CI(level)),
-			"convergence":     stats.MergePairedConvergence(valueBlocks, level),
-			"vr": vr.NewReport(vr.ModeAntithetic, frac.Pairs(), frac.VarianceReductionFactor(),
-				frac.LegCorrelation(), frac.PairVariance(), frac.LegVariance()),
-		}
-	} else {
-		var frac, tot stats.Accumulator
-		for _, blk := range valueBlocks {
-			for _, v := range blk {
-				frac.Add(v)
-			}
-		}
-		for _, v := range totals {
-			tot.Add(v)
-		}
-		fields = map[string]any{
-			"replications":    n,
-			"events":          events,
-			"useful_fraction": IntervalFields(frac.CI(level)),
-			"total_useful":    IntervalFields(tot.CI(level)),
-			"convergence":     stats.MergeConvergence(valueBlocks, level),
-		}
-	}
-	if label != "" {
-		fields["label"] = label
-	}
-	return fields
-}
-
-// completionFields builds the closing record for a completion-kind cell.
-func completionFields(m *Manifest, c CellResult) map[string]any {
-	var acc stats.Accumulator
-	for _, blk := range c.Values {
-		for _, v := range blk {
-			acc.Add(v)
-		}
-	}
+// estimateFields builds the closing "estimate" record of a cell: replication
+// count, total events, useful-work interval, total-useful interval, and the
+// convergence trajectory. Under antithetic VR the record gains a "vr" block
+// reporting the measured variance-reduction factor; plain mode emits
+// exactly the pre-VR schema, byte for byte.
+func estimateFields(m *Manifest, c CellResult) map[string]any {
+	frac := vr.NewEstimator(m.VR, m.Confidence)
+	frac.Add(c.values...)
+	total := vr.NewEstimator(m.VR, m.Confidence)
+	total.Add(c.Totals...)
 	fields := map[string]any{
-		"replications": c.Replications(),
-		"events":       c.Events,
-		"work":         m.Work,
-		"wall_hours":   IntervalFields(acc.CI(m.Confidence)),
-		"convergence":  stats.MergeConvergence(c.Values, m.Confidence),
+		"replications":    len(c.values),
+		"events":          c.Events,
+		"useful_fraction": intervalFields(frac.Interval()),
+		"total_useful":    intervalFields(total.Interval()),
+		"convergence":     frac.Trajectory(),
+	}
+	if r := frac.Report(); r != nil {
+		fields["vr"] = r
 	}
 	if c.Cell.Label != "" {
 		fields["label"] = c.Cell.Label
@@ -238,10 +150,27 @@ func completionFields(m *Manifest, c CellResult) map[string]any {
 	return fields
 }
 
-// IntervalFields flattens a stats.Interval for the journal, nulling a
+// completionFields builds the closing record for a completion-kind cell.
+func completionFields(m *Manifest, c CellResult) map[string]any {
+	wall := vr.NewEstimator(vr.ModeNone, m.Confidence)
+	wall.Add(c.values...)
+	fields := map[string]any{
+		"replications": c.Replications(),
+		"events":       c.Events,
+		"work":         m.Work,
+		"wall_hours":   intervalFields(wall.Interval()),
+		"convergence":  wall.Trajectory(),
+	}
+	if c.Cell.Label != "" {
+		fields["label"] = c.Cell.Label
+	}
+	return fields
+}
+
+// intervalFields flattens a stats.Interval for the journal, nulling a
 // non-finite half-width (n < 2) the same way obs.Journal treats top-level
 // floats so nested maps marshal cleanly.
-func IntervalFields(iv stats.Interval) map[string]any {
+func intervalFields(iv stats.Interval) map[string]any {
 	var hw any = iv.HalfWide
 	if !isFinite(iv.HalfWide) {
 		hw = nil
@@ -260,22 +189,30 @@ func IntervalFields(iv stats.Interval) map[string]any {
 // same plan writes, byte-identical apart from obs.TimestampFields.
 func WriteReduced(j *obs.Journal, m *Manifest, cells []CellResult) error {
 	for _, c := range cells {
-		for _, rec := range c.Records {
-			if err := j.Record(rec.Kind, rec.Fields); err != nil {
-				return err
-			}
-		}
-		var fields map[string]any
-		kind := "estimate"
-		if m.Kind == KindCompletion {
-			kind = "completion"
-			fields = completionFields(m, c)
-		} else {
-			fields = EstimateFields(m.Confidence, c.Values, c.Totals, c.Events, c.Cell.Label, m.VR)
-		}
-		if err := j.Record(kind, fields); err != nil {
+		if err := WriteCell(j, m, c, nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteCell journals one folded cell: its replication records, then the
+// closing estimate (or completion) record with extra's fields added.
+// WriteReduced writes every cell through it and a monolithic run writes its
+// single cell through it, passing its span check as extra.
+func WriteCell(j *obs.Journal, m *Manifest, c CellResult, extra map[string]any) error {
+	for _, rec := range c.Records {
+		if err := j.Record(rec.Kind, rec.Fields); err != nil {
+			return err
+		}
+	}
+	kind, closing := "estimate", estimateFields
+	if m.Kind == KindCompletion {
+		kind, closing = "completion", completionFields
+	}
+	fields := closing(m, c)
+	for k, v := range extra {
+		fields[k] = v
+	}
+	return j.Record(kind, fields)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/vr"
 )
 
 func vrCells(reps int) []Cell {
@@ -15,7 +16,7 @@ func vrCells(reps int) []Cell {
 // Antithetic planning: every pair shares one seed, pairs sit at even
 // offsets, and consecutive pairs draw distinct seeds from the cell root.
 func TestPlanAntitheticSeedPairing(t *testing.T) {
-	m, err := Plan(vrCells(8), PlanOptions{Name: "vr", BlockSize: 8, VR: VRAntithetic})
+	m, err := Plan(vrCells(8), PlanOptions{Name: "vr", BlockSize: 8, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestPlanAntitheticSeedPairing(t *testing.T) {
 // An odd block size would split pairs across blocks; the planner rounds it
 // up, and the resulting blocks all start on even replication offsets.
 func TestPlanAntitheticEvenizesBlockSize(t *testing.T) {
-	m, err := Plan(vrCells(10), PlanOptions{Name: "vr", BlockSize: 3, VR: VRAntithetic})
+	m, err := Plan(vrCells(10), PlanOptions{Name: "vr", BlockSize: 3, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPlanAntitheticEvenizesBlockSize(t *testing.T) {
 }
 
 func TestPlanAntitheticRejectsOddReplications(t *testing.T) {
-	if _, err := Plan(vrCells(7), PlanOptions{Name: "vr", VR: VRAntithetic}); err == nil {
+	if _, err := Plan(vrCells(7), PlanOptions{Name: "vr", VR: vr.ModeAntithetic}); err == nil {
 		t.Fatal("odd replication count accepted under antithetic VR")
 	}
 	if _, err := Plan(vrCells(4), PlanOptions{Name: "vr", VR: "bogus"}); err == nil {
@@ -74,7 +75,7 @@ func TestPlainManifestOmitsVRField(t *testing.T) {
 	if strings.Contains(string(data), `"vr":`) {
 		t.Fatalf("plain manifest serialises a vr field: %s", data)
 	}
-	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", BlockSize: 2, VR: VRAntithetic})
+	anti, err := Plan(vrCells(4), PlanOptions{Name: "sweep", BlockSize: 2, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestPlainManifestOmitsVRField(t *testing.T) {
 // A corrupted antithetic manifest — a pair split across blocks or with
 // mismatched seeds — must fail validation loudly.
 func TestValidateRejectsSplitPairs(t *testing.T) {
-	m, err := Plan(vrCells(4), PlanOptions{Name: "vr", BlockSize: 4, VR: VRAntithetic})
+	m, err := Plan(vrCells(4), PlanOptions{Name: "vr", BlockSize: 4, VR: vr.ModeAntithetic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package runner
 // This file is the glue between the estimation loop and the
 // internal/blocks sweep engine. PlanGrid turns a multi-cell sweep into a
 // content-hashed manifest, BlockRunner executes one claimed block with
-// exactly the record schema the monolithic journal writer uses, and
+// exactly the replication loop and records of a monolithic estimate, and
 // EstimateGrid is the monolithic mode — the whole plan claimed and reduced
 // inside one process, which is what ccsweep and the experiments grid run
 // and what the distributed path must reproduce bit for bit.
@@ -11,14 +11,12 @@ package runner
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blocks"
 	"repro/internal/cyclesim"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/vr"
 )
 
 // PlanGrid builds the estimate-kind manifest for a multi-cell sweep.
@@ -50,17 +48,18 @@ func PlanGrid(name string, cells []blocks.Cell, blockSize int, opts Options) (*b
 		Measure:    opts.Measure,
 		Confidence: opts.Confidence,
 		BlockSize:  blockSize,
-		VR:         vrString(opts.VarianceReduction),
+		VR:         opts.VarianceReduction,
 	})
 }
 
 // BlockRunner returns the blocks.RunFunc for every manifest kind. An
-// estimate block executes its replications with the seeds the manifest
-// pre-assigned and hands back records built by the same repFields the
-// monolithic journal writer uses — which is the whole byte-identity
-// argument at the record level. workers bounds in-block parallelism (0/1
-// sequential, negative one per CPU); metrics, when non-nil, receives the
-// same runner.*/des.* telemetry a monolithic run records. A completion
+// estimate block runs its replications through the same loop as a
+// monolithic estimate, with the seeds the manifest pre-assigned, and hands
+// back records built by the same records function the monolithic journal
+// uses — which is the whole byte-identity argument at the record level.
+// workers bounds in-block parallelism (0/1 sequential, negative one per
+// CPU); metrics, when non-nil, receives the same runner.*/des.* telemetry
+// a monolithic run records. A completion
 // block runs cyclesim.ReplicateCompletion per seed, the loop body of
 // cyclesim.JobCompletion.
 func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
@@ -73,10 +72,6 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 			return blocks.BlockOutput{}, fmt.Errorf("runner: cannot run %q blocks", m.Kind)
 		}
 		cell := m.Cells[b.CellIndex]
-		mode, err := vr.ParseMode(m.VR)
-		if err != nil {
-			return blocks.BlockOutput{}, fmt.Errorf("runner: %w", err)
-		}
 		opts := Options{
 			Replications:      b.Reps(),
 			Warmup:            m.Warmup,
@@ -86,35 +81,18 @@ func BlockRunner(workers int, metrics *obs.Registry) blocks.RunFunc {
 			Workers:           workers,
 			Metrics:           metrics,
 			Label:             cell.Label,
-			VarianceReduction: mode,
+			VarianceReduction: m.VR,
 			forceSim:          true,
 		}.withDefaults()
-		antithetic := mode == vr.ModeAntithetic
-		var events atomic.Uint64
 		start := time.Now()
-		outs, err := exec.MapLocal(ctx, pool(opts, &events), b.Reps(), newInstanceCache,
-			func(_ context.Context, cache *instanceCache, i int) (repOut, error) {
-				// The leg is the cell-global replication parity — the same
-				// rule the monolithic loop applies — so a block worker runs
-				// exactly the leg the plan assigned, wherever the block
-				// boundary fell (the planner keeps RepStart even under VR).
-				o, err := runOne(cell.Config, b.Seeds[i], antithetic && (b.RepStart+i)%2 == 1, opts, cache)
-				events.Add(o.fired)
-				return o, err
-			})
+		outs, err := replicate(ctx, cell.Config, b.Seeds, b.RepStart, opts)
 		if err != nil {
 			return blocks.BlockOutput{}, err
 		}
-		out := blocks.BlockOutput{Records: make([]blocks.Record, len(outs))}
-		for i, o := range outs {
-			out.Events += o.fired
-			// rep is the cell-global replication index, so merged journals
-			// number replications exactly as a monolithic run does.
-			out.Records[i] = blocks.Record{
-				Kind:   "replication",
-				Fields: repFields(b.RepStart+i, b.Seeds[i], o, opts),
-			}
-		}
+		// rep is the cell-global replication index, so merged journals
+		// number replications exactly as a monolithic run does.
+		var out blocks.BlockOutput
+		out.Records, out.Events = records(outs, b.Seeds, b.RepStart, opts)
 		// Publish the block's event rate the same way recordEstimate does
 		// for monolithic runs, so worker heartbeats and -debug-addr
 		// dashboards get a live runner.events_per_sec in distributed mode.
@@ -178,10 +156,6 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		return nil, fmt.Errorf("runner: cannot estimate %q manifest", m.Kind)
 	}
 	opts = opts.withDefaults()
-	gridMode, err := vr.ParseMode(m.VR)
-	if err != nil {
-		return nil, fmt.Errorf("runner: %w", err)
-	}
 	p := exec.Pool{Workers: exec.WorkerCount(opts.Workers), Metrics: opts.Metrics}
 	return exec.Map(ctx, p, len(m.Cells), func(ctx context.Context, ci int) (Result, error) {
 		cell := m.Cells[ci]
@@ -192,7 +166,7 @@ func EstimateGrid(ctx context.Context, m *blocks.Manifest, opts Options, cellOpt
 		o.Measure = m.Measure
 		o.Confidence = m.Confidence
 		o.Label = cell.Label
-		o.VarianceReduction = gridMode
+		o.VarianceReduction = m.VR
 		o.Workers = 1 // the grid is already parallel; don't oversubscribe
 		o.Progress = nil
 		// Cells complete in scheduling order, so a journal shared across

@@ -143,15 +143,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// vrString maps the option mode onto the manifest spelling (blocks.VRNone
-// is the empty string so plain manifests keep their pre-VR hashes).
-func vrString(m vr.Mode) string {
-	if m == vr.ModeAntithetic {
-		return blocks.VRAntithetic
-	}
-	return blocks.VRNone
-}
-
 // Validate reports option problems (after defaulting).
 func (o Options) Validate() error {
 	if o.Replications < 1 {
@@ -257,47 +248,57 @@ func EstimateContext(ctx context.Context, cfg cluster.Config, opts Options) (Res
 		Measure:    opts.Measure,
 		Confidence: opts.Confidence,
 		BlockSize:  opts.Replications,
-		VR:         vrString(opts.VarianceReduction),
+		VR:         opts.VarianceReduction,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("runner: %w", err)
 	}
-	seeds := plan.Blocks[0].Seeds
-	antithetic := opts.VarianceReduction == vr.ModeAntithetic
 	start := time.Now()
-	var events atomic.Uint64
-	// Each worker carries one instance cache: the model is built on the
-	// worker's first replication and recycled for the rest (zero-allocation
-	// hot loop; see internal/runner/cache.go for why this cannot affect
-	// results).
-	outs, err := exec.MapLocal(ctx, pool(opts, &events), opts.Replications, newInstanceCache,
-		func(_ context.Context, cache *instanceCache, r int) (repOut, error) {
-			// Under antithetic VR the plan duplicated each seed across a
-			// (plain, reflected) pair; the leg is the replication parity,
-			// fixed — like the seed — before dispatch, so leg assignment is
-			// invisible to worker scheduling.
-			o, err := runOne(cfg, seeds[r], antithetic && r%2 == 1, opts, cache)
-			events.Add(o.fired)
-			return o, err
-		})
+	outs, err := replicate(ctx, cfg, plan.Blocks[0].Seeds, 0, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	metrics := make([]model.Metrics, len(outs))
+	// The estimate folds the replications in replication order, so the
+	// floating-point accumulation is scheduling-independent.
+	frac := vr.NewEstimator(opts.VarianceReduction, opts.Confidence)
+	total := vr.NewEstimator(opts.VarianceReduction, opts.Confidence)
+	res := Result{PerReplication: make([]model.Metrics, len(outs))}
 	for i, o := range outs {
-		metrics[i] = o.metrics
+		res.PerReplication[i] = o.metrics
+		frac.Add(o.metrics.UsefulWorkFraction)
+		total.Add(o.metrics.TotalUsefulWork)
 	}
-	res := reduce(metrics, opts)
+	res.UsefulWorkFraction, res.TotalUsefulWork, res.VR = frac.Interval(), total.Interval(), frac.Report()
 	if opts.VerifySpans {
 		res.SpanCheck = spanCheck(outs, res)
 	}
 	recordEstimate(opts, outs, res, time.Since(start))
 	if opts.Journal != nil {
-		if err := writeJournal(opts, seeds, outs, res); err != nil {
+		if err := writeJournal(opts, plan, outs, res); err != nil {
 			return Result{}, fmt.Errorf("runner: journal: %w", err)
 		}
 	}
 	return res, nil
+}
+
+// replicate runs one cell's replications on the exec pool: seeds[i] is the
+// planned seed of cell-global replication repStart+i. Each worker carries
+// one instance cache: the model is built on the worker's first replication
+// and recycled for the rest (zero-allocation hot loop; see
+// internal/runner/cache.go for why this cannot affect results). Under
+// antithetic VR the planner duplicated each seed across a (plain,
+// reflected) pair aligned to even global offsets, so the leg is the
+// cell-global replication parity — fixed, like the seed, before dispatch,
+// and the same wherever a block boundary fell.
+func replicate(ctx context.Context, cfg cluster.Config, seeds []uint64, repStart int, opts Options) ([]repOut, error) {
+	antithetic := opts.VarianceReduction == vr.ModeAntithetic
+	var events atomic.Uint64
+	return exec.MapLocal(ctx, pool(opts, &events), len(seeds), newInstanceCache,
+		func(_ context.Context, cache *instanceCache, i int) (repOut, error) {
+			o, err := runOne(cfg, seeds[i], antithetic && (repStart+i)%2 == 1, opts, cache)
+			events.Add(o.fired)
+			return o, err
+		})
 }
 
 // recordEstimate publishes estimate-level telemetry.
@@ -324,13 +325,26 @@ func recordEstimate(opts Options, outs []repOut, res Result, elapsed time.Durati
 	obs.RecordMemStats(reg)
 }
 
-// repFields builds one trajectory's "replication" record fields — shared
-// verbatim between the monolithic journal writer below and BlockRunner, so
-// a block journal's records and a monolithic journal's records are the
-// same bytes. Everything except ci_half_width, which depends on the
-// replications before this one and is appended by whoever knows the prefix
-// (writeJournal here, the block writer block-locally, the reducer
-// cell-globally).
+// records builds the "replication" records of replications
+// repStart, repStart+1, … and their total event count. Block workers hand
+// them to the block writer; a monolithic run folds them through
+// blocks.FoldCell, as the reducer does. Every field is a pure function of
+// (cfg, opts, seeds) except wall_ms and the timestamp, which is what makes
+// journals comparable across worker and process counts. ci_half_width
+// depends on the replications before each record and is stamped by
+// whoever knows the prefix: the block writer block-locally, FoldCell
+// cell-globally.
+func records(outs []repOut, seeds []uint64, repStart int, opts Options) ([]blocks.Record, uint64) {
+	recs := make([]blocks.Record, len(outs))
+	var events uint64
+	for i, o := range outs {
+		events += o.fired
+		recs[i] = blocks.Record{Kind: "replication", Fields: repFields(repStart+i, seeds[i], o, opts)}
+	}
+	return recs, events
+}
+
+// repFields builds one trajectory's "replication" record fields.
 func repFields(rep int, seed uint64, o repOut, opts Options) map[string]any {
 	fields := map[string]any{
 		"rep":             rep,
@@ -362,49 +376,29 @@ func repFields(rep int, seed uint64, o repOut, opts Options) map[string]any {
 	return fields
 }
 
-// writeJournal emits one "replication" record per trajectory plus the
-// closing "estimate" record, strictly in replication order. Every field is
-// a pure function of (cfg, opts, seeds) except wall_ms and the timestamp,
-// which is what makes journals comparable across worker counts — and,
-// through blocks.EstimateFields, across process counts.
-func writeJournal(opts Options, seeds []uint64, outs []repOut, res Result) error {
+// writeJournal emits the optional "provenance" record, then the cell's
+// replication records and closing "estimate" record, strictly in
+// replication order, through the reducer's own fold and writer — so a
+// monolithic journal and a reduced block-sharded one are the same bytes.
+func writeJournal(opts Options, plan *blocks.Manifest, outs []repOut, res Result) error {
 	j := opts.Journal
 	if opts.Provenance != nil {
 		if err := j.Record("provenance", opts.Provenance.Fields()); err != nil {
 			return err
 		}
 	}
-	w := blocks.NewWidthTracker(opts.Confidence, vrString(opts.VarianceReduction))
-	var events uint64
-	for r, o := range outs {
-		events += o.fired
-		fields := repFields(r, seeds[r], o, opts)
-		// The prefix CI half-width after this replication — the raw
-		// convergence trajectory, one point per record (paired prefix under
-		// antithetic VR, via the same tracker the block writers use).
-		fields["ci_half_width"] = w.Add(o.metrics.UsefulWorkFraction)
-		if err := j.Record("replication", fields); err != nil {
-			return err
-		}
-	}
-	fracs := make([]float64, len(outs))
-	totals := make([]float64, len(outs))
-	for i, o := range outs {
-		fracs[i] = o.metrics.UsefulWorkFraction
-		totals[i] = o.metrics.TotalUsefulWork
-	}
-	fields := blocks.EstimateFields(opts.Confidence, [][]float64{fracs}, totals, events, opts.Label,
-		vrString(opts.VarianceReduction))
+	var extra map[string]any
 	if sc := res.SpanCheck; sc != nil {
-		fields["span_check"] = map[string]any{
+		extra = map[string]any{"span_check": map[string]any{
 			"reward_mean": sc.RewardMean,
 			"span_mean":   sc.SpanMean,
 			"max_delta":   sc.MaxDelta,
 			"tolerance":   sc.Tolerance,
 			"within":      sc.Within,
-		}
+		}}
 	}
-	return j.Record("estimate", fields)
+	recs, events := records(outs, plan.Blocks[0].Seeds, 0, opts)
+	return blocks.WriteCell(j, plan, blocks.FoldCell(plan, 0, recs, events), extra)
 }
 
 // phaseHours flattens a windowed budget for the journal, keeping only the
@@ -430,36 +424,4 @@ func pool(opts Options, events *atomic.Uint64) exec.Pool {
 		}
 	}
 	return p
-}
-
-// reduce folds per-replication metrics into the estimate, strictly in
-// replication order so floating-point accumulation is scheduling-independent.
-// Under antithetic VR consecutive replications form (plain, reflected)
-// pairs and the intervals are formed over the pair means, with the measured
-// variance-reduction factor reported alongside.
-func reduce(metrics []model.Metrics, opts Options) Result {
-	if opts.VarianceReduction == vr.ModeAntithetic {
-		var frac, total stats.PairedAccumulator
-		for i := 0; i+1 < len(metrics); i += 2 {
-			frac.AddPair(metrics[i].UsefulWorkFraction, metrics[i+1].UsefulWorkFraction)
-			total.AddPair(metrics[i].TotalUsefulWork, metrics[i+1].TotalUsefulWork)
-		}
-		return Result{
-			UsefulWorkFraction: frac.CI(opts.Confidence),
-			TotalUsefulWork:    total.CI(opts.Confidence),
-			PerReplication:     metrics,
-			VR: vr.NewReport(vr.ModeAntithetic, frac.Pairs(), frac.VarianceReductionFactor(),
-				frac.LegCorrelation(), frac.PairVariance(), frac.LegVariance()),
-		}
-	}
-	var frac, total stats.Accumulator
-	for _, m := range metrics {
-		frac.Add(m.UsefulWorkFraction)
-		total.Add(m.TotalUsefulWork)
-	}
-	return Result{
-		UsefulWorkFraction: frac.CI(opts.Confidence),
-		TotalUsefulWork:    total.CI(opts.Confidence),
-		PerReplication:     metrics,
-	}
 }

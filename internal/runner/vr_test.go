@@ -197,7 +197,7 @@ func TestShardedAntitheticMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.VR != blocks.VRAntithetic {
+	if m.VR != vr.ModeAntithetic {
 		t.Fatalf("manifest VR = %q", m.VR)
 	}
 	if m.BlockSize%2 != 0 {

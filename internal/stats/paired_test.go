@@ -72,52 +72,17 @@ func TestPairedCIUsesPairCount(t *testing.T) {
 	}
 }
 
-// The merged per-block paired trajectory must be identical to the
-// flattened-sequence one at any block layout — the reduce contract lifted
-// to pairs.
-func TestMergePairedConvergenceBlockInvariance(t *testing.T) {
-	r := rng.New(21)
-	legs := make([]float64, 48)
-	for i := range legs {
-		legs[i] = r.Float64()
-	}
-	want := PairedConvergenceTrajectory(legs, 0.95)
-	for _, sizes := range [][]int{{48}, {2, 46}, {8, 8, 8, 8, 8, 8}, {4, 20, 24}} {
-		var blocks [][]float64
-		at := 0
-		for _, s := range sizes {
-			blocks = append(blocks, legs[at:at+s])
-			at += s
-		}
-		got := MergePairedConvergence(blocks, 0.95)
-		if len(got) != len(want) {
-			t.Fatalf("layout %v: %d snapshots, want %d", sizes, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("layout %v: snapshot %d = %+v, want %+v", sizes, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPairedConvergenceIgnoresTrailingLeg(t *testing.T) {
-	legs := []float64{1, 2, 3, 4, 5}
-	got := PairedConvergenceTrajectory(legs, 0.95)
-	want := PairedConvergenceTrajectory(legs[:4], 0.95)
-	if len(got) != len(want) {
-		t.Fatalf("trailing unpaired leg changed the trajectory: %d vs %d snapshots", len(got), len(want))
-	}
-}
-
 func TestReplicationsToHalfWidth(t *testing.T) {
 	r := rng.New(33)
 	vals := make([]float64, 2000)
 	for i := range vals {
 		vals[i] = r.Float64()
 	}
-	traj := ConvergenceTrajectory(vals, 0.95)
-	target := traj[len(traj)-1].HalfWidth * 2
+	var all Accumulator
+	for _, v := range vals {
+		all.Add(v)
+	}
+	target := all.CI(0.95).HalfWide * 2
 	n := ReplicationsToHalfWidth(vals, 0.95, target)
 	if n <= 0 || n > len(vals) {
 		t.Fatalf("ReplicationsToHalfWidth = %d, want in (0, %d]", n, len(vals))
@@ -132,31 +97,5 @@ func TestReplicationsToHalfWidth(t *testing.T) {
 	}
 	if ReplicationsToHalfWidth(vals, 0.95, 0) != -1 {
 		t.Fatalf("unreachable target did not return -1")
-	}
-}
-
-// Antithetic pairing must reach a target half-width in far fewer legs than
-// plain folding on a monotone output — the paired counter is denominated in
-// legs so the two are directly comparable.
-func TestPairedReplicationsToHalfWidthBeatsPlain(t *testing.T) {
-	r := rng.New(55)
-	const n = 4000
-	plain := make([]float64, n)
-	paired := make([]float64, n)
-	for i := 0; i < n; i += 2 {
-		u1, u2 := r.Float64Open(), r.Float64Open()
-		plain[i] = -math.Log(u1)
-		plain[i+1] = -math.Log(u2)
-		paired[i] = -math.Log(u1)
-		paired[i+1] = -math.Log(1 - u1)
-	}
-	traj := ConvergenceTrajectory(plain, 0.95)
-	target := traj[len(traj)-1].HalfWidth
-	pn := PairedReplicationsToHalfWidth(paired, 0.95, target)
-	if pn <= 0 {
-		t.Fatalf("paired trajectory never reached plain target %v", target)
-	}
-	if pn*2 > n {
-		t.Fatalf("paired needed %d legs to match plain's %d-leg half-width; expected at least 2x fewer", pn, n)
 	}
 }

@@ -150,42 +150,6 @@ func (a *Accumulator) Convergence(level float64) Convergence {
 	return c
 }
 
-// ConvergenceTrajectory folds the values in order and returns one
-// convergence snapshot per prefix with at least two observations — the
-// CI-half-width trajectory of a replication sequence. The fold order is
-// the caller's value order, so the trajectory is scheduling-independent.
-func ConvergenceTrajectory(values []float64, level float64) []Convergence {
-	var acc Accumulator
-	var out []Convergence
-	for _, v := range values {
-		acc.Add(v)
-		if acc.N() >= 2 {
-			out = append(out, acc.Convergence(level))
-		}
-	}
-	return out
-}
-
-// MergeConvergence folds per-block replication values — already ordered
-// by their position in a sweep manifest — into the single convergence
-// trajectory the monolithic run would have produced. Because the fold is
-// the plain concatenation order, the result is identical (bit for bit) to
-// ConvergenceTrajectory over the flattened sequence no matter how many
-// workers produced the blocks or in what order they finished.
-func MergeConvergence(blocks [][]float64, level float64) []Convergence {
-	var acc Accumulator
-	var out []Convergence
-	for _, vals := range blocks {
-		for _, v := range vals {
-			acc.Add(v)
-			if acc.N() >= 2 {
-				out = append(out, acc.Convergence(level))
-			}
-		}
-	}
-	return out
-}
-
 // TQuantile returns the p-quantile of the Student-t distribution with df
 // degrees of freedom (p in (0,1)). It inverts the regularised incomplete
 // beta function by bisection on the CDF, which is plenty fast for the

@@ -287,59 +287,3 @@ func TestConvergenceZeroMeanIsFinite(t *testing.T) {
 		t.Fatalf("half-width not finite: %v", c.HalfWidth)
 	}
 }
-
-func TestConvergenceTrajectory(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	traj := ConvergenceTrajectory(vals, 0.95)
-	if len(traj) != 4 {
-		t.Fatalf("trajectory length = %d, want 4 (prefixes n>=2)", len(traj))
-	}
-	for i, c := range traj {
-		if c.N != i+2 {
-			t.Fatalf("entry %d has n=%d", i, c.N)
-		}
-	}
-	// Half-widths shrink as evidence accumulates on this smooth sequence.
-	if traj[len(traj)-1].HalfWidth >= traj[0].HalfWidth {
-		t.Fatalf("half-width did not shrink: %v -> %v", traj[0].HalfWidth, traj[len(traj)-1].HalfWidth)
-	}
-	// The final entry must match folding everything into one accumulator.
-	var a Accumulator
-	for _, v := range vals {
-		a.Add(v)
-	}
-	if want := a.Convergence(0.95); traj[len(traj)-1] != want {
-		t.Fatalf("final entry %+v != accumulator %+v", traj[len(traj)-1], want)
-	}
-	if got := ConvergenceTrajectory([]float64{7}, 0.95); got != nil {
-		t.Fatalf("single-value trajectory = %v, want nil", got)
-	}
-}
-
-func TestMergeConvergenceMatchesSingleStream(t *testing.T) {
-	vals := []float64{0.93, 0.91, 0.97, 0.88, 0.95, 0.9, 0.94, 0.92, 0.96, 0.89}
-	want := ConvergenceTrajectory(vals, 0.95)
-	// Any block partition of the same sequence must produce the identical
-	// trajectory — this is what makes a sharded sweep's convergence record
-	// indistinguishable from the monolithic run's.
-	partitions := [][][]float64{
-		{vals},
-		{vals[:1], vals[1:4], vals[4:4], vals[4:]},
-		{vals[:5], vals[5:]},
-		{{vals[0]}, {vals[1]}, {vals[2]}, {vals[3]}, {vals[4]}, {vals[5]}, {vals[6]}, {vals[7]}, {vals[8]}, {vals[9]}},
-	}
-	for pi, blocks := range partitions {
-		got := MergeConvergence(blocks, 0.95)
-		if len(got) != len(want) {
-			t.Fatalf("partition %d: %d snapshots, want %d", pi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("partition %d entry %d: %+v != %+v", pi, i, got[i], want[i])
-			}
-		}
-	}
-	if got := MergeConvergence(nil, 0.95); got != nil {
-		t.Fatalf("empty merge = %v, want nil", got)
-	}
-}

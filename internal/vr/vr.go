@@ -3,8 +3,9 @@
 // audit for runner.Compare, and a fixed-effort multilevel importance-
 // splitting driver for rare-event probabilities (DESIGN.md §19).
 //
-// The package holds the mode vocabulary, the measured-efficiency reports
-// and the splitting algorithm; the pairing itself lives where determinism
+// The package holds the mode vocabulary, the replication fold every
+// estimate goes through (Estimator), the measured-efficiency reports and
+// the splitting algorithm; the pairing itself lives where determinism
 // is decided — seeds are assigned to (plain, reflected) pairs inside block
 // planning (internal/blocks), and the reflected routing inside the model
 // (model.Instance.SetVR) — so block-sharded sweeps stay bit-identical to
@@ -18,15 +19,17 @@ import (
 	"repro/internal/stats"
 )
 
-// Mode selects the variance-reduction scheme of an estimate.
-type Mode int
+// Mode selects the variance-reduction scheme of an estimate. Its values are
+// the manifest spellings: plain manifests omit the empty mode, so their
+// content hashes are unchanged from before variance reduction existed.
+type Mode string
 
 const (
 	// ModeNone is plain Monte Carlo — one independent replication per seed.
-	ModeNone Mode = iota
+	ModeNone Mode = ""
 	// ModeAntithetic schedules replications as (plain, reflected) pairs
 	// sharing a seed and estimates from the pair means.
-	ModeAntithetic
+	ModeAntithetic Mode = "antithetic"
 )
 
 // ParseMode parses a -vr flag value. The empty string means ModeNone.
@@ -43,12 +46,10 @@ func ParseMode(s string) (Mode, error) {
 
 // String returns the flag spelling of the mode.
 func (m Mode) String() string {
-	switch m {
-	case ModeAntithetic:
-		return "antithetic"
-	default:
+	if m == ModeNone {
 		return "none"
 	}
+	return string(m)
 }
 
 // Report is the measured outcome of an antithetic estimate, carried in
@@ -61,7 +62,7 @@ type Report struct {
 	// Pairs is the number of (plain, reflected) pairs folded in.
 	Pairs int `json:"pairs"`
 	// Factor is the measured variance-reduction factor (≥ 0; ≈ 1 means the
-	// pairing neither helped nor hurt). Build reports through NewReport,
+	// pairing neither helped nor hurt). Reports are built by newReport,
 	// which clamps a +Inf factor (degenerate zero pair variance) to
 	// MaxFloat64 so the record stays JSON-encodable.
 	Factor float64 `json:"factor"`
@@ -74,10 +75,10 @@ type Report struct {
 	LegVariance  float64 `json:"leg_variance"`
 }
 
-// NewReport builds a Report from measured pair statistics, clamping
+// newReport builds a Report from measured pair statistics, clamping
 // non-finite values so the report always survives encoding/json (which
 // rejects ±Inf and NaN).
-func NewReport(mode Mode, pairs int, factor, legCorr, pairVar, legVar float64) *Report {
+func newReport(mode Mode, pairs int, factor, legCorr, pairVar, legVar float64) *Report {
 	return &Report{
 		Mode:           mode.String(),
 		Pairs:          pairs,
@@ -86,6 +87,97 @@ func NewReport(mode Mode, pairs int, factor, legCorr, pairVar, legVar float64) *
 		PairVariance:   clampJSON(pairVar),
 		LegVariance:    clampJSON(legVar),
 	}
+}
+
+// Estimator folds replication values, in replication order, into the
+// estimate the paper reports: a mean with a Student-t interval. It is the
+// one place the mode picks the fold. Plain Monte Carlo folds every value;
+// antithetic mode folds consecutive (plain, reflected) legs into pair means
+// and ignores a trailing unpaired leg. runner.Estimate, the block writers,
+// the reducer and ccsweep -reduce all fold through it, which is what keeps
+// their intervals, journaled ci_half_width prefixes, convergence
+// trajectories and variance-reduction reports bit-identical.
+type Estimator struct {
+	mode   Mode
+	level  float64
+	plain  stats.Accumulator
+	paired stats.PairedAccumulator
+	leg    float64 // the plain leg of a pair still waiting for its mirror
+	hasLeg bool
+	// prefix holds the interval's fold after each observation (value or
+	// pair), so the trajectory costs no t-quantile until it is asked for.
+	prefix []stats.Accumulator
+}
+
+// NewEstimator returns an empty estimator for the mode at the given
+// confidence level.
+func NewEstimator(mode Mode, level float64) *Estimator {
+	return &Estimator{mode: mode, level: level}
+}
+
+// Add folds replication values (legs, under antithetic mode) in order.
+func (e *Estimator) Add(values ...float64) {
+	for _, v := range values {
+		switch {
+		case e.mode != ModeAntithetic:
+			e.plain.Add(v)
+		case !e.hasLeg:
+			e.leg, e.hasLeg = v, true
+			continue
+		default:
+			e.paired.AddPair(e.leg, v)
+			e.hasLeg = false
+		}
+		e.prefix = append(e.prefix, e.fold())
+	}
+}
+
+// fold returns the accumulator the interval is formed over: the values
+// themselves, or the pair means.
+func (e *Estimator) fold() stats.Accumulator {
+	if e.mode == ModeAntithetic {
+		return e.paired.PairMeans()
+	}
+	return e.plain
+}
+
+// Interval returns the confidence interval of the estimate (an infinite
+// half-width below two observations or pairs).
+func (e *Estimator) Interval() stats.Interval {
+	a := e.fold()
+	return a.CI(e.level)
+}
+
+// HalfWidth returns the interval's half-width over what has been folded so
+// far — the ci_half_width journaled beside each replication record. Below
+// two observations (pairs) it is 0, the stats.Convergence convention, with
+// the record count carrying the truth.
+func (e *Estimator) HalfWidth() float64 {
+	a := e.fold()
+	return a.Convergence(e.level).HalfWidth
+}
+
+// Trajectory returns one convergence snapshot per prefix holding at least
+// two observations (pairs): how the interval tightened as replications
+// accumulated. Nil when fewer than two were folded.
+func (e *Estimator) Trajectory() []stats.Convergence {
+	var out []stats.Convergence
+	for _, a := range e.prefix {
+		if a.N() >= 2 {
+			out = append(out, a.Convergence(e.level))
+		}
+	}
+	return out
+}
+
+// Report returns the measured efficiency of an antithetic estimate, or nil
+// for plain Monte Carlo.
+func (e *Estimator) Report() *Report {
+	if e.mode != ModeAntithetic {
+		return nil
+	}
+	p := &e.paired
+	return newReport(e.mode, p.Pairs(), p.VarianceReductionFactor(), p.LegCorrelation(), p.PairVariance(), p.LegVariance())
 }
 
 // clampJSON maps non-finite values onto the finite double range so every
